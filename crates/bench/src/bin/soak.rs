@@ -419,7 +419,7 @@ fn main() {
                 eprintln!("soak: skipping corpus file {name}: invalid program: {e}");
                 continue;
             }
-            let report = omp_analyze::analyze(
+            let report = omp_analyze::analyze_hazards(
                 &program,
                 &omp_analyze::AnalyzeConfig::paper().with_threads(TEAM),
             );

@@ -56,3 +56,4 @@ pub use pdes::{clamp_workers, lookahead_cycles, resolve_workers, PdesConfig};
 pub use rng::SplitMix64;
 pub use stats::{CpuStats, StreamRole, TimeBreakdown, TimeClass, TIME_CLASSES};
 pub use sync::{Barrier, Lock, Semaphore};
+pub use util::{FastMap, FastSet, U64Hasher};

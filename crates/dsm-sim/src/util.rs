@@ -1,6 +1,6 @@
-//! Small internal utilities.
+//! The workspace's fast hasher for integer-keyed maps.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast multiplicative hasher for `u64` keys (line addresses, ids).
@@ -41,6 +41,9 @@ impl Hasher for U64Hasher {
 
 /// HashMap keyed by u64-like values using [`U64Hasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<U64Hasher>>;
+
+/// HashSet of u64-like values using [`U64Hasher`].
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<U64Hasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -136,6 +136,7 @@ pub fn guard_checksum(var: u32, begin: i64, end: i64, step: u64) -> u64 {
     fnv1a64(format!("replay-guard|var={var}|begin={begin}|end={end}|step={step}").as_bytes())
 }
 
+#[derive(Default)]
 pub(crate) struct CertOutput {
     pub certificates: Vec<PhaseCertificate>,
     pub replay_loops: Vec<ReplayLoop>,

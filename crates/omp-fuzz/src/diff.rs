@@ -26,7 +26,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dsm_sim::{Cycle, MachineConfig};
-use omp_analyze::{analyze, Equivalence, GateMode};
+use omp_analyze::{analyze_hazards, Equivalence, GateMode};
 use omp_ir::node::Program;
 use omp_ir::OpCounts;
 use slipstream::gate::analyze_config;
@@ -216,7 +216,10 @@ impl CaseResult {
 
 fn classify(program: &Program, machine: &MachineConfig, sync: SlipSync) -> Option<Equivalence> {
     let cfg = analyze_config(machine, &AStreamPolicy::paper(), Some(sync));
-    catch_unwind(AssertUnwindSafe(|| analyze(program, &cfg).equivalence())).ok()
+    catch_unwind(AssertUnwindSafe(|| {
+        analyze_hazards(program, &cfg).equivalence()
+    }))
+    .ok()
 }
 
 fn oracle(program: &Program, team: u64) -> Option<OpCounts> {

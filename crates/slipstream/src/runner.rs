@@ -7,7 +7,7 @@
 use crate::compile::{compile, CompiledProgram};
 use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
 use crate::faults::FaultPlan;
-use crate::gate::{analyze_config, gate_program};
+use crate::gate::{admit, analyze_config, gate_program};
 use crate::health::HealthPolicy;
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{AddressMap, Cycle, FillCounts, MachineConfig, TimeBreakdown, TimeClass};
@@ -49,11 +49,13 @@ pub struct RunOptions {
     /// Structured event tracing (observation-only; off by default).
     pub trace: TraceConfig,
     /// Slipstream-safety gate. The default, [`GateMode::Warn`], runs the
-    /// `omp-analyze` static analyzer before the simulation and attaches
-    /// the report to the summary without affecting the run (stats stay
-    /// bit-identical to an ungated run). [`GateMode::Deny`] refuses to
-    /// run programs with deny-severity findings; [`GateMode::Allow`]
-    /// skips analysis entirely.
+    /// `omp-analyze` hazard passes ([`omp_analyze::analyze_hazards`])
+    /// before the simulation and attaches the report to the summary
+    /// without affecting the run (stats stay bit-identical to an ungated
+    /// run). [`GateMode::Deny`] refuses to run programs with
+    /// deny-severity findings; [`GateMode::Allow`] skips analysis
+    /// entirely. Phase-purity certification is not part of the gate: it
+    /// runs only when [`memo`](Self::memo) is on.
     pub gate: GateMode,
     /// Simulated-cycle budget override. `None` keeps the engine's default
     /// (effectively unbounded for kernels of sane size); `Some(n)` makes
@@ -73,13 +75,16 @@ pub struct RunOptions {
     /// from the machine's minimum remote-hop latency; `Some(0)` forces
     /// lockstep window admission). Only meaningful with `workers > 1`.
     pub lookahead: Option<Cycle>,
-    /// Memoized phase replay (default off). When on, replay-loop licenses
-    /// from the `omp-analyze` certification pass are compiled into a
-    /// [`crate::MemoPlan`] and the engine bulk-jumps converged iterations
-    /// of certified loops. Results are bit-identical to a memo-off run;
-    /// the engine arms the plan only for deterministic single/double runs
-    /// (no faults, mutation, noise, or tracing) and falls back to full
-    /// execution whenever the runtime guard contradicts a certificate.
+    /// Memoized phase replay (default off). When on, the run analyzes the
+    /// program once in full ([`omp_analyze::analyze`]: hazard passes plus
+    /// certification), takes the gate decision from that report, and
+    /// compiles its replay-loop licenses into a [`crate::MemoPlan`]; the
+    /// engine bulk-jumps converged iterations of certified loops. A
+    /// memo-off run never certifies. Results are bit-identical to a
+    /// memo-off run; the engine arms the plan only for deterministic
+    /// single/double runs (no faults, mutation, noise, or tracing) and
+    /// falls back to full execution whenever the runtime guard
+    /// contradicts a certificate.
     pub memo: bool,
 }
 
@@ -212,7 +217,10 @@ pub struct RunSummary {
     pub raw: RunResult,
     /// Static-analysis report from the pre-run safety gate (`None` when
     /// the gate is [`GateMode::Allow`] or the program was run through
-    /// [`run_compiled`] directly).
+    /// [`run_compiled`] directly). It holds the hazard passes' findings
+    /// and region summaries; `certificates` and `replay_loops` are filled
+    /// only for memo runs ([`RunOptions::memo`]), the one consumer of
+    /// certification.
     pub analysis: Option<AnalysisReport>,
 }
 
@@ -286,26 +294,29 @@ fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
 /// ```
 pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, String> {
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
-    let analysis = gate_program(program, opts.gate, &acfg)?;
+    // The gate needs only the hazard passes. Memoized replay also needs
+    // the certification pass's replay-loop licenses, so a memo run
+    // analyzes once in full and takes both the gate decision and the plan
+    // from that one report.
+    let report = if opts.memo {
+        let report = omp_analyze::analyze(program, &acfg);
+        admit(program, opts.gate, &report)?;
+        Some(report)
+    } else {
+        gate_program(program, opts.gate, &acfg)?
+    };
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
-    // Memoized replay needs the certification pass's replay-loop licenses;
-    // when the gate skipped analysis ([`GateMode::Allow`]), run it here
-    // just for the plan.
-    let memo = if opts.memo {
-        match &analysis {
-            Some(report) => crate::memo::build_plan(report, &cp),
-            None => crate::memo::build_plan(&omp_analyze::analyze(program, &acfg), &cp),
-        }
-    } else {
-        crate::MemoPlan::default()
+    let memo = match &report {
+        Some(report) if opts.memo => crate::memo::build_plan(report, &cp),
+        _ => crate::MemoPlan::default(),
     };
     let label = mode_label(opts.mode, opts.sync);
     let mut cfg = engine_config(opts);
     cfg.memo = memo;
     let raw = Engine::new(&cp, cfg).run()?;
     let mut summary = summarize(program.name.clone(), label, raw);
-    summary.analysis = analysis;
+    summary.analysis = report.filter(|_| opts.gate != GateMode::Allow);
     Ok(summary)
 }
 
