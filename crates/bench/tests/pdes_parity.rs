@@ -78,6 +78,29 @@ fn traced_runs_match_untraced_at_workers_4() {
 }
 
 #[test]
+fn processed_event_count_ignores_tracing_and_workers() {
+    // `RunResult::events` is the denominator of ns per event: it must
+    // count the same engine work whether or not the run is traced and
+    // at any worker count.
+    let machine = small_machine();
+    let program = Benchmark::Cg.build_tiny();
+    for (label, mode, sync) in STATIC_MODES {
+        let mut o = RunOptions::new(mode).with_machine(machine.clone());
+        o.sync = sync;
+        o.env = RuntimeEnv::default();
+        let (_, serial) = fp(&o, &program);
+        assert!(serial.events > 0, "{label}: no events counted");
+        let (_, traced) = fp(
+            &o.clone().with_trace(sim_trace::TraceConfig::on()),
+            &program,
+        );
+        assert_eq!(traced.events, serial.events, "{label}: traced");
+        let (_, parallel) = fp(&o.clone().with_workers(2), &program);
+        assert_eq!(parallel.events, serial.events, "{label}: workers=2");
+    }
+}
+
+#[test]
 fn faulted_adaptive_runs_match_serial() {
     // Divergence recovery is the one path that mutates a running
     // A-stream from outside (reseed at the construct barrier), and the

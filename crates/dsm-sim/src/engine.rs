@@ -8,17 +8,57 @@
 //! bit-reproducible.
 
 use crate::address::CpuId;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Simulation time in CPU cycles.
 pub type Cycle = u64;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A pending wake, ordered by the packed key `(time << 64) | seq` alone.
+/// Sequence stamps are unique per queue, so the key orders events exactly
+/// as `(time, seq)` does (the CPU never breaks a tie) with one `u128`
+/// compare per heap step.
+#[derive(Debug, Clone, Copy)]
 struct Ev {
-    time: Cycle,
-    seq: u64,
+    key: u128,
     cpu: CpuId,
+}
+
+impl Ev {
+    fn new(time: Cycle, seq: u64, cpu: CpuId) -> Self {
+        Ev {
+            key: (time as u128) << 64 | seq as u128,
+            cpu,
+        }
+    }
+
+    fn time(&self) -> Cycle {
+        (self.key >> 64) as Cycle
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64
+    }
+}
+
+impl PartialEq for Ev {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Ev {}
+
+impl PartialOrd for Ev {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ev {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
 }
 
 /// Min-heap of processor wake events.
@@ -38,17 +78,17 @@ impl EventQueue {
     pub fn schedule(&mut self, time: Cycle, cpu: CpuId) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Ev { time, seq, cpu }));
+        self.heap.push(Reverse(Ev::new(time, seq, cpu)));
     }
 
     /// Remove and return the earliest event as `(time, cpu)`.
     pub fn pop(&mut self) -> Option<(Cycle, CpuId)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.cpu))
+        self.heap.pop().map(|Reverse(e)| (e.time(), e.cpu))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time())
     }
 
     /// Number of pending events.
@@ -69,7 +109,7 @@ impl EventQueue {
         let mut evs: Vec<_> = self
             .heap
             .iter()
-            .map(|Reverse(e)| (e.time, e.seq, e.cpu))
+            .map(|Reverse(e)| (e.time(), e.seq(), e.cpu))
             .collect();
         evs.sort_unstable();
         (evs, self.seq)
@@ -81,7 +121,7 @@ impl EventQueue {
         EventQueue {
             heap: events
                 .iter()
-                .map(|&(time, seq, cpu)| Reverse(Ev { time, seq, cpu }))
+                .map(|&(time, seq, cpu)| Reverse(Ev::new(time, seq, cpu)))
                 .collect(),
             seq: next_seq,
         }
@@ -93,7 +133,7 @@ impl EventQueue {
 /// The machine's natural time-domain partition is the CMP node: its cores
 /// and L1s interact every cycle, but nodes only interact through the
 /// network and directories. `DomainQueues` keeps one min-heap per domain
-/// while preserving the *global* `(time, seq, cpu)` order of
+/// while preserving the *global* `(time, seq)` order of
 /// [`EventQueue`]: a single shared sequence counter stamps every
 /// `schedule` call, so popping the minimum across domains yields exactly
 /// the event the flat queue would have yielded. A wake scheduled for a
@@ -143,7 +183,7 @@ impl DomainQueues {
         let seq = self.seq;
         self.seq += 1;
         let d = self.domain_of(cpu);
-        self.heaps[d].push(Reverse(Ev { time, seq, cpu }));
+        self.heaps[d].push(Reverse(Ev::new(time, seq, cpu)));
         self.len += 1;
     }
 
@@ -155,29 +195,29 @@ impl DomainQueues {
             .heaps
             .iter()
             .enumerate()
-            .filter_map(|(d, h)| h.peek().map(|Reverse(e)| (*e, d)))
+            .filter_map(|(d, h)| h.peek().map(|Reverse(e)| (e.key, d)))
             .min()?;
         self.len -= 1;
-        self.heaps[best.1].pop().map(|Reverse(e)| (e.time, e.cpu))
+        self.heaps[best.1].pop().map(|Reverse(e)| (e.time(), e.cpu))
     }
 
     /// Time of the globally earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.heaps
             .iter()
-            .filter_map(|h| h.peek().map(|Reverse(e)| e.time))
+            .filter_map(|h| h.peek().map(|Reverse(e)| e.time()))
             .min()
     }
 
     /// Time of domain `d`'s earliest pending event, if any.
     pub fn domain_peek_time(&self, d: usize) -> Option<Cycle> {
-        self.heaps[d].peek().map(|Reverse(e)| e.time)
+        self.heaps[d].peek().map(|Reverse(e)| e.time())
     }
 
     /// Domain `d`'s earliest pending event as `(time, cpu)`, if any —
     /// the front a PDES scout inspects without disturbing the queue.
     pub fn domain_front(&self, d: usize) -> Option<(Cycle, CpuId)> {
-        self.heaps[d].peek().map(|Reverse(e)| (e.time, e.cpu))
+        self.heaps[d].peek().map(|Reverse(e)| (e.time(), e.cpu))
     }
 
     /// Domains whose earliest event lies within `lookahead` cycles of the
@@ -230,7 +270,7 @@ impl DomainQueues {
         let mut evs: Vec<_> = self
             .heaps
             .iter()
-            .flat_map(|h| h.iter().map(|Reverse(e)| (e.time, e.seq, e.cpu)))
+            .flat_map(|h| h.iter().map(|Reverse(e)| (e.time(), e.seq(), e.cpu)))
             .collect();
         evs.sort_unstable();
         (evs, self.seq)
@@ -248,7 +288,7 @@ impl DomainQueues {
         let mut q = DomainQueues::new(num_domains, cpus_per_domain);
         for &(time, seq, cpu) in events {
             let d = q.domain_of(cpu);
-            q.heaps[d].push(Reverse(Ev { time, seq, cpu }));
+            q.heaps[d].push(Reverse(Ev::new(time, seq, cpu)));
             q.len += 1;
         }
         q.seq = next_seq;
@@ -322,23 +362,22 @@ impl Resource {
             return done;
         }
         // Gap-list slow path: a time-skewed request earlier than the
-        // newest window scans for the earliest gap that fits.
+        // newest window takes the earliest gap that fits. Disjoint windows
+        // sorted by start are sorted by end too, so the windows ending by
+        // `now` are a prefix that cannot delay the request: binary-search
+        // past it. Every window after it ends after the candidate start,
+        // so a window that leaves no room moves the start to its end.
+        let mut at = self.windows.partition_point(|&(_, e)| e <= now);
         let mut start = now;
-        let mut insert_at = 0;
-        for (idx, &(s, e)) in self.windows.iter().enumerate() {
-            if e <= start {
-                insert_at = idx + 1;
-                continue;
-            }
+        while let Some(&(s, e)) = self.windows.get(at) {
             if s >= start + occupancy {
-                insert_at = idx;
                 break; // fits in the gap before this window
             }
-            start = start.max(e);
-            insert_at = idx + 1;
+            start = e;
+            at += 1;
         }
         self.contention_cycles += start - now;
-        self.windows.insert(insert_at, (start, start + occupancy));
+        self.windows.insert(at, (start, start + occupancy));
         self.prune();
         start + occupancy
     }
@@ -426,6 +465,8 @@ impl Resource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use std::collections::VecDeque;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -641,5 +682,301 @@ mod tests {
         // The ancient window is gone, so an ancient request starts
         // immediately where [0,10) used to be.
         assert_eq!(r.acquire(0, 5), 5);
+    }
+
+    #[test]
+    fn packed_key_keeps_insertion_order_near_max_time() {
+        let top = u64::MAX;
+        let schedule = [
+            (top, 4),
+            (top - 1, 9),
+            (top, 1),
+            (top - 1, 2),
+            (0, 3),
+            (top, 7),
+        ];
+        let mut q = EventQueue::new();
+        let mut dom = DomainQueues::new(2, 4);
+        for &(t, c) in &schedule {
+            q.schedule(t, CpuId(c));
+            dom.schedule(t, CpuId(c));
+        }
+        let (events, next_seq) = q.export();
+        assert_eq!(dom.export(), (events.clone(), next_seq));
+        let mut copy = EventQueue::import(&events, next_seq);
+        let mut dom_copy = DomainQueues::import(&events, next_seq, 4, 2);
+        // A wake scheduled after the import ties with the imported ones
+        // at `top` and must pop after them.
+        copy.schedule(top, CpuId(0));
+        dom_copy.schedule(top, CpuId(0));
+        let want = [
+            (0, 3),
+            (top - 1, 9),
+            (top - 1, 2),
+            (top, 4),
+            (top, 1),
+            (top, 7),
+        ];
+        for &(t, c) in &want {
+            assert_eq!(q.pop(), Some((t, CpuId(c))));
+            assert_eq!(dom.pop(), Some((t, CpuId(c))));
+            assert_eq!(copy.pop(), Some((t, CpuId(c))));
+            assert_eq!(dom_copy.pop(), Some((t, CpuId(c))));
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(dom.pop(), None);
+        assert_eq!(copy.pop(), Some((top, CpuId(0))));
+        assert_eq!(dom_copy.pop(), Some((top, CpuId(0))));
+    }
+
+    /// The gap scan before the binary search: a linear walk from the
+    /// oldest window. `Resource::acquire` must match it call for call.
+    #[derive(Default)]
+    struct LinearResource {
+        windows: VecDeque<(Cycle, Cycle)>,
+        contention_cycles: u64,
+        transactions: u64,
+    }
+
+    impl LinearResource {
+        fn acquire(&mut self, now: Cycle, occupancy: Cycle) -> Cycle {
+            self.transactions += 1;
+            if occupancy == 0 {
+                return now;
+            }
+            let fast = match self.windows.back() {
+                None => {
+                    self.windows.push_back((now, now + occupancy));
+                    return now + occupancy;
+                }
+                Some(&(s, e)) if now >= s => {
+                    let start = now.max(e);
+                    self.contention_cycles += start - now;
+                    if start == e {
+                        self.windows.back_mut().expect("nonempty").1 = start + occupancy;
+                    } else {
+                        self.windows.push_back((start, start + occupancy));
+                    }
+                    Some(start + occupancy)
+                }
+                _ => None,
+            };
+            if let Some(done) = fast {
+                self.prune();
+                return done;
+            }
+            let mut start = now;
+            let mut insert_at = 0;
+            for (idx, &(s, e)) in self.windows.iter().enumerate() {
+                if e <= start {
+                    insert_at = idx + 1;
+                    continue;
+                }
+                if s >= start + occupancy {
+                    insert_at = idx;
+                    break;
+                }
+                start = start.max(e);
+                insert_at = idx + 1;
+            }
+            self.contention_cycles += start - now;
+            self.windows.insert(insert_at, (start, start + occupancy));
+            self.prune();
+            start + occupancy
+        }
+
+        fn prune(&mut self) {
+            if let Some(&(_, newest_end)) = self.windows.back() {
+                while let Some(&(_, e)) = self.windows.front() {
+                    if e + WINDOW_HORIZON < newest_end {
+                        self.windows.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts from one [`drive`] run, so each stream can show it reached
+    /// the path it was built for.
+    #[derive(Default)]
+    struct Drove {
+        skewed: usize,
+        max_windows: usize,
+        pruned: bool,
+    }
+
+    /// Feed `calls` requests from `next` (which sees the reference's
+    /// windows) to a [`Resource`] and to the linear reference, comparing
+    /// every observable after each call. With `snap_at`, the resource is
+    /// replaced by its own snapshot/restore round trip after that many
+    /// calls.
+    fn drive(
+        seed: u64,
+        calls: usize,
+        snap_at: Option<usize>,
+        mut next: impl FnMut(&mut SplitMix64, &VecDeque<(Cycle, Cycle)>) -> (Cycle, Cycle),
+    ) -> Drove {
+        let mut g = SplitMix64::new(seed);
+        let mut r = Resource::new();
+        let mut lin = LinearResource::default();
+        let mut d = Drove::default();
+        for i in 0..calls {
+            if snap_at == Some(i) {
+                let mut w = snap::Writer::new();
+                r.snapshot(&mut w);
+                let bytes = w.into_bytes();
+                let mut rd = snap::Reader::new(&bytes);
+                r = Resource::restore(&mut rd).expect("restore");
+                rd.expect_end().expect("whole snapshot read");
+            }
+            let (now, occ) = next(&mut g, &lin.windows);
+            if lin.windows.back().is_some_and(|&(s, _)| now < s) {
+                d.skewed += 1;
+            }
+            let oldest = lin.windows.front().copied();
+            let want = lin.acquire(now, occ);
+            d.pruned |= oldest.is_some() && lin.windows.front().copied() != oldest;
+            d.max_windows = d.max_windows.max(lin.windows.len());
+            let ctx = format!("seed {seed:#x} call {i}: acquire({now}, {occ})");
+            assert_eq!(r.acquire(now, occ), want, "{ctx}");
+            assert_eq!(r.contention_cycles, lin.contention_cycles, "{ctx}");
+            assert_eq!(r.transactions, lin.transactions, "{ctx}");
+            assert_eq!(
+                r.free_at(),
+                lin.windows.back().map_or(0, |&(_, e)| e),
+                "{ctx}"
+            );
+            assert_eq!(r.windows, lin.windows, "{ctx}");
+        }
+        d
+    }
+
+    /// Run a fresh stream from `make` straight through, then another
+    /// across a mid-stream snapshot/restore.
+    fn drive_both<F>(seed: u64, calls: usize, make: impl Fn() -> F) -> Drove
+    where
+        F: FnMut(&mut SplitMix64, &VecDeque<(Cycle, Cycle)>) -> (Cycle, Cycle),
+    {
+        drive(seed, calls, Some(calls / 2), make());
+        drive(seed, calls, None, make())
+    }
+
+    #[test]
+    fn acquire_matches_linear_scan_in_order() {
+        for seed in 0..8 {
+            let d = drive_both(0xA11 ^ seed, 4000, || {
+                let mut now = 0;
+                move |g: &mut SplitMix64, _: &VecDeque<_>| {
+                    now += g.below(20);
+                    (now, 1 + g.below(30))
+                }
+            });
+            assert_eq!(d.skewed, 0);
+        }
+    }
+
+    #[test]
+    fn acquire_matches_linear_scan_on_skewed_requests() {
+        // 2,500 spaced windows, then requests earlier than the newest one
+        // that fit some gaps and overrun others, with an in-order request
+        // now and then.
+        const SPACED: u64 = 2500;
+        for seed in 0..4 {
+            let d = drive_both(0x5CE ^ seed, 8000, || {
+                let mut i = 0;
+                move |g: &mut SplitMix64, w: &VecDeque<(Cycle, Cycle)>| {
+                    i += 1;
+                    if i <= SPACED {
+                        (i * 100 + g.below(40), 1 + g.below(40))
+                    } else if g.chance(0.1) {
+                        (
+                            w.back().map_or(0, |&(_, e)| e) + g.below(50),
+                            1 + g.below(40),
+                        )
+                    } else {
+                        (g.below(SPACED * 100), 1 + g.below(120))
+                    }
+                }
+            });
+            assert!(d.max_windows >= 2000, "{} windows", d.max_windows);
+            assert!(d.skewed > 4000, "{} skewed calls", d.skewed);
+        }
+    }
+
+    #[test]
+    fn acquire_matches_linear_scan_with_zero_occupancy() {
+        for seed in 0..4 {
+            let d = drive_both(0x2E0 ^ seed, 6000, || {
+                let mut now = 0;
+                move |g: &mut SplitMix64, _: &VecDeque<_>| {
+                    now += g.below(30);
+                    let at = if g.chance(0.4) {
+                        now.saturating_sub(g.below(2000))
+                    } else {
+                        now
+                    };
+                    let occ = if g.chance(0.3) { 0 } else { 1 + g.below(25) };
+                    (at, occ)
+                }
+            });
+            assert!(d.skewed > 1000, "{} skewed calls", d.skewed);
+        }
+    }
+
+    #[test]
+    fn acquire_matches_linear_scan_into_abutting_windows() {
+        // Requests that exactly fill a gap, start exactly at a window's
+        // end, or end exactly at a window's start.
+        for seed in 0..4 {
+            let d = drive_both(0xAB7 ^ seed, 6000, || {
+                let mut i = 0;
+                move |g: &mut SplitMix64, w: &VecDeque<(Cycle, Cycle)>| {
+                    i += 1;
+                    if i <= 1000 {
+                        return (i * 60 + g.below(20), 1 + g.below(20));
+                    }
+                    let k = g.below(w.len() as u64 - 1) as usize;
+                    let (s0, e0) = w[k];
+                    let (s1, _) = w[k + 1];
+                    match g.below(3) {
+                        0 if s1 > e0 => (e0, s1 - e0),
+                        1 => (e0, 1 + g.below(30)),
+                        _ => {
+                            let occ = 1 + g.below(10);
+                            (s0.saturating_sub(occ), occ)
+                        }
+                    }
+                }
+            });
+            assert!(d.skewed > 3000, "{} skewed calls", d.skewed);
+        }
+    }
+
+    #[test]
+    fn acquire_matches_linear_scan_across_pruning() {
+        // Idle gaps longer than the horizon prune old windows, and later
+        // requests still aim at the pruned stretch.
+        for seed in 0..4 {
+            let d = drive_both(0x9A9 ^ seed, 6000, || {
+                let mut now = 0;
+                move |g: &mut SplitMix64, _: &VecDeque<_>| {
+                    if g.chance(0.01) {
+                        now += WINDOW_HORIZON + g.below(1000);
+                    } else {
+                        now += g.below(400);
+                    }
+                    let at = if g.chance(0.3) {
+                        now.saturating_sub(g.below(2 * WINDOW_HORIZON))
+                    } else {
+                        now
+                    };
+                    (at, 1 + g.below(60))
+                }
+            });
+            assert!(d.pruned, "no window was pruned");
+            assert!(d.skewed > 1000, "{} skewed calls", d.skewed);
+        }
     }
 }

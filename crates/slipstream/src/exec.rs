@@ -309,6 +309,12 @@ pub struct RunResult {
     pub stores_skipped: u64,
     /// Machine-wide counters (traffic, contention, invalidations).
     pub machine: dsm_sim::MachineCounters,
+    /// Scheduler events the engine processed, stale pops included — the
+    /// denominator that turns host time into ns per event. Independent of
+    /// tracing and worker count; memo replay skips events, so memo-on
+    /// runs process fewer. Observation-only: excluded from stats
+    /// fingerprints by design.
+    pub events: u64,
     /// Merged trace of the run when [`EngineConfig::trace`] was on.
     /// Observation-only: excluded from stats fingerprints by design.
     pub trace: Option<TraceData>,
@@ -3703,6 +3709,7 @@ impl<'p> Engine<'p> {
             stores_converted,
             stores_skipped,
             machine,
+            events: self.events,
             trace,
             pdes: self.pdes,
             memo: self.memo.diag,
@@ -3730,7 +3737,7 @@ impl<'p> Engine<'p> {
 // classifier), normalized by subtracting the boundary release time from
 // every embedded clock and zeroing the licensed induction variable. Two
 // documented diagnostics are exempt from the bit-identity contract:
-// `RunResult::events` via the engine's processed-event count and
+// `RunResult::events` (the engine's processed-event count) and
 // `Lock::acquisitions` (skipped iterations process no events and take no
 // locks); neither feeds stats fingerprints.
 impl<'p> Engine<'p> {

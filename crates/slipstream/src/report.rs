@@ -258,11 +258,20 @@ mod tests {
                 stores_converted: 0,
                 stores_skipped: 0,
                 machine: dsm_sim::MachineCounters::default(),
+                events: 0,
                 trace: None,
                 pdes: Default::default(),
                 memo: Default::default(),
             },
         }
+    }
+
+    #[test]
+    fn processed_event_count_is_outside_the_fingerprint() {
+        let a = dummy("single", 1000);
+        let mut b = dummy("single", 1000);
+        b.raw.events = 12_345;
+        assert_eq!(stats_fingerprint(&a), stats_fingerprint(&b));
     }
 
     #[test]
