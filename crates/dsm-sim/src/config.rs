@@ -200,8 +200,8 @@ impl MachineConfig {
             if !c.line_bytes.is_power_of_two() {
                 return Err(format!("{name} line size must be a power of two"));
             }
-            if c.associativity == 0 {
-                return Err(format!("{name} associativity must be > 0"));
+            if c.associativity == 0 || c.associativity > u8::MAX as u32 {
+                return Err(format!("{name} associativity must be in 1..=255"));
             }
             if c.size_bytes % (c.line_bytes * c.associativity as u64) != 0 {
                 return Err(format!("{name} size must be a multiple of line*ways"));

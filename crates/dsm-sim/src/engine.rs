@@ -86,6 +86,24 @@ impl EventQueue {
         self.heap.pop().map(|Reverse(e)| (e.time(), e.cpu))
     }
 
+    /// `schedule(time, cpu)` followed by `pop()`, fused: when the new
+    /// event is not the earliest it replaces the heap top, which costs
+    /// one sift-down instead of a sift-up plus a pop. The engine's
+    /// self-yields always take that path (a CPU yields only once it is
+    /// past the earliest pending event).
+    pub fn push_pop(&mut self, time: Cycle, cpu: CpuId) -> (Cycle, CpuId) {
+        let seq = self.seq;
+        self.seq += 1;
+        let ev = Ev::new(time, seq, cpu);
+        match self.heap.peek_mut() {
+            Some(mut top) if top.0 < ev => {
+                let old = std::mem::replace(&mut top.0, ev);
+                (old.time(), old.cpu)
+            }
+            _ => (time, cpu),
+        }
+    }
+
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|Reverse(e)| e.time())
@@ -727,6 +745,85 @@ mod tests {
         assert_eq!(dom.pop(), None);
         assert_eq!(copy.pop(), Some((top, CpuId(0))));
         assert_eq!(dom_copy.pop(), Some((top, CpuId(0))));
+    }
+
+    /// Which paths of `push_pop` one [`drive_push_pop`] stream reached.
+    #[derive(Default)]
+    struct Fused {
+        empty: usize,
+        new_earliest: usize,
+        tied_front: usize,
+        replaced_top: usize,
+    }
+
+    /// Feed one seeded stream to `push_pop` on one queue and to
+    /// `schedule` + `pop` on another, comparing the returned event and
+    /// `export()` after every call. Other schedules and pops are mixed
+    /// in, and every 100 calls both queues are drained, so the queue
+    /// grows, shrinks and empties. `time` draws each event's time from
+    /// the current front (`None` when empty). Halfway through, the fused
+    /// queue is replaced by an `export`/`import` round trip.
+    fn drive_push_pop(
+        seed: u64,
+        calls: usize,
+        mut time: impl FnMut(&mut SplitMix64, Option<Cycle>) -> Cycle,
+    ) -> Fused {
+        let mut g = SplitMix64::new(seed);
+        let mut fused = EventQueue::new();
+        let mut plain = EventQueue::new();
+        let mut f = Fused::default();
+        for i in 0..calls {
+            if i == calls / 2 {
+                let (events, next_seq) = fused.export();
+                fused = EventQueue::import(&events, next_seq);
+            }
+            if i % 100 == 0 {
+                while let Some(e) = plain.pop() {
+                    assert_eq!(fused.pop(), Some(e));
+                }
+            }
+            match g.below(4) {
+                0 | 1 => {
+                    let (t, cpu) = (time(&mut g, plain.peek_time()), CpuId(g.below(8) as usize));
+                    fused.schedule(t, cpu);
+                    plain.schedule(t, cpu);
+                }
+                2 => assert_eq!(fused.pop(), plain.pop()),
+                _ => {}
+            }
+            let front = plain.peek_time();
+            let (t, cpu) = (time(&mut g, front), CpuId(g.below(8) as usize));
+            match front {
+                None => f.empty += 1,
+                Some(h) if t < h => f.new_earliest += 1,
+                Some(h) if t == h => f.tied_front += 1,
+                Some(_) => f.replaced_top += 1,
+            }
+            plain.schedule(t, cpu);
+            let want = plain.pop().expect("just scheduled");
+            let ctx = format!("seed {seed:#x} call {i}: push_pop({t}, {cpu:?})");
+            assert_eq!(fused.push_pop(t, cpu), want, "{ctx}");
+            assert_eq!(fused.export(), plain.export(), "{ctx}");
+        }
+        f
+    }
+
+    #[test]
+    fn push_pop_matches_schedule_then_pop() {
+        for seed in 0..8 {
+            let f = drive_push_pop(0xF05E ^ seed, 3000, |g, front| {
+                front.map_or(g.below(50), |h| (h + g.below(7)).saturating_sub(3))
+            });
+            assert!(f.empty > 0 && f.new_earliest > 0 && f.tied_front > 0 && f.replaced_top > 0);
+        }
+    }
+
+    #[test]
+    fn push_pop_matches_schedule_then_pop_near_max_time() {
+        for seed in 0..4 {
+            let f = drive_push_pop(0x3A7 ^ seed, 2000, |g, _| u64::MAX - g.below(4));
+            assert!(f.empty > 0 && f.new_earliest > 0 && f.tied_front > 0 && f.replaced_top > 0);
+        }
     }
 
     /// The gap scan before the binary search: a linear walk from the

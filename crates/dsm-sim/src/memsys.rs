@@ -823,25 +823,40 @@ impl MemSystem {
     /// Overwrite this (freshly built) memory system's mutable state from a
     /// snapshot written by [`MemSystem::snapshot`] of a system with the
     /// same machine configuration.
+    ///
+    /// Every per-CPU and per-CMP count in the payload must match this
+    /// system's configuration, and each cache its geometry; anything else
+    /// is [`snap::SnapError::Corrupt`].
     pub fn restore_into(&mut self, r: &mut snap::Reader) -> Result<(), snap::SnapError> {
-        self.l1 = r.seq(SetAssocCache::restore)?;
-        self.l2 = r.seq(SetAssocCache::restore)?;
-        self.dirs = r.seq(Directory::restore)?;
+        let (cpus, cmps) = (self.cfg.num_cpus(), self.cfg.num_cmps);
+        expect_count(r, cpus, "L1 count")?;
+        for c in &mut self.l1 {
+            c.restore_into(r)?;
+        }
+        expect_count(r, cmps, "L2 count")?;
+        for c in &mut self.l2 {
+            c.restore_into(r)?;
+        }
+        expect_count(r, cmps, "directory count")?;
+        for d in &mut self.dirs {
+            *d = Directory::restore(r)?;
+        }
         self.net.restore_into(r)?;
         self.mem.restore_into(r)?;
-        let num_tables = r.usize()?;
-        let mut mshr = Vec::with_capacity(num_tables);
-        for _ in 0..num_tables {
+        expect_count(r, cmps, "MSHR table count")?;
+        for table in &mut self.mshr {
             let entries = r.seq(|r| Ok((LineAddr(r.u64()?), r.u64()?)))?;
-            mshr.push(entries.into_iter().collect());
+            *table = entries.into_iter().collect();
         }
-        self.mshr = mshr;
-        self.roles = r.seq(|r| match r.u8()? {
-            0 => Ok(StreamRole::Solo),
-            1 => Ok(StreamRole::R),
-            2 => Ok(StreamRole::A),
-            _ => Err(snap::SnapError::Corrupt { what: "StreamRole" }),
-        })?;
+        expect_count(r, cpus, "role count")?;
+        for role in &mut self.roles {
+            *role = match r.u8()? {
+                0 => StreamRole::Solo,
+                1 => StreamRole::R,
+                2 => StreamRole::A,
+                _ => return Err(snap::SnapError::Corrupt { what: "StreamRole" }),
+            };
+        }
         self.self_invalidation = r.bool()?;
         self.classifier = Classifier::restore(r)?;
         self.tracer = Tracer::restore(r)?;
@@ -862,6 +877,15 @@ impl MemSystem {
             three_hop_fetches: self.dirs.iter().map(|d| d.three_hop_fetches).sum(),
             invalidations_sent: self.dirs.iter().map(|d| d.invalidations_sent).sum(),
         }
+    }
+}
+
+/// Read a sequence length that the machine configuration fixes at `n`.
+fn expect_count(r: &mut snap::Reader, n: usize, what: &'static str) -> Result<(), snap::SnapError> {
+    if r.usize()? == n {
+        Ok(())
+    } else {
+        Err(snap::SnapError::Corrupt { what })
     }
 }
 
@@ -1161,6 +1185,48 @@ mod tests {
         // Later requesters queue at the home NI port and memory controller.
         for w in completes.windows(2) {
             assert!(w[1] > w[0], "each subsequent miss completes later");
+        }
+    }
+
+    fn snapshot_bytes(ms: &MemSystem) -> Vec<u8> {
+        let mut w = snap::Writer::new();
+        ms.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_checks_counts_against_the_machine() {
+        let used = || {
+            let mut ms = sys();
+            let mut st = CpuStats::default();
+            let addr = shared_addr(&ms, 0);
+            ms.access(CpuId(0), addr, AccessKind::Store, 0, &mut st);
+            ms
+        };
+        let good = snapshot_bytes(&used());
+        let mut fresh = sys();
+        fresh
+            .restore_into(&mut snap::Reader::new(&good))
+            .expect("round trip");
+        assert_eq!(snapshot_bytes(&fresh), good);
+        let damaged: [fn(&mut MemSystem); 5] = [
+            |ms| ms.l1.truncate(ms.l1.len() - 1),
+            |ms| ms.l2.truncate(ms.l2.len() - 1),
+            |ms| ms.dirs.push(Directory::new()),
+            |ms| ms.mshr.push(FastMap::default()),
+            |ms| ms.roles.truncate(ms.roles.len() - 1),
+        ];
+        for (i, damage) in damaged.iter().enumerate() {
+            let mut ms = used();
+            damage(&mut ms);
+            let bad = snapshot_bytes(&ms);
+            assert!(
+                matches!(
+                    sys().restore_into(&mut snap::Reader::new(&bad)),
+                    Err(snap::SnapError::Corrupt { .. })
+                ),
+                "damage {i} was accepted"
+            );
         }
     }
 }

@@ -509,6 +509,17 @@ impl Q {
         }
     }
 
+    /// `schedule` then `pop`, fused on the serial heap.
+    fn push_pop(&mut self, time: Cycle, cpu: CpuId) -> (Cycle, CpuId) {
+        match self {
+            Q::Serial(q) => q.push_pop(time, cpu),
+            Q::Domains(q) => {
+                q.schedule(time, cpu);
+                q.pop().expect("an event was just scheduled")
+            }
+        }
+    }
+
     fn peek_time(&self) -> Option<Cycle> {
         match self {
             Q::Serial(q) => q.peek_time(),
@@ -1139,12 +1150,6 @@ impl<'p> Engine<'p> {
         self.q.schedule(t, cpu);
     }
 
-    fn yield_self(&mut self, ci: usize) {
-        let t = self.cpus[ci].timeline.now();
-        self.cpus[ci].next_wake = t;
-        self.q.schedule(t, CpuId(ci));
-    }
-
     fn is_a(&self, ci: usize) -> bool {
         self.cpus[ci].role == StreamRole::A
     }
@@ -1682,8 +1687,11 @@ impl<'p> Engine<'p> {
     // --------------------------------------------------------- stepping --
 
     /// Execute protocol steps for `ci` until it parks, finishes, or runs
-    /// past the next pending event. Returns `Err` on watchdog trip.
-    fn run_cpu(&mut self, ci: usize) -> Result<(), String> {
+    /// past the next pending event. A CPU that runs past it yields: it
+    /// returns its wake time for [`Engine::pump`] to queue, which is
+    /// always later than the earliest pending event. Returns `Err` on
+    /// watchdog trip.
+    fn run_cpu(&mut self, ci: usize) -> Result<Option<Cycle>, String> {
         // Account the time spent parked.
         let t = self.cpus[ci].next_wake;
         if let Some(class) = self.cpus[ci].pending_class.take() {
@@ -1696,14 +1704,14 @@ impl<'p> Engine<'p> {
                 return Err(format!("cpu {ci} made no blocking progress (livelock?)"));
             }
             if self.cpus[ci].status != Status::Ready {
-                return Ok(()); // parked by the step
+                return Ok(None); // parked by the step
             }
             if self.cpus[ci].frames.is_empty() {
                 self.cpus[ci].status = Status::Done;
                 if self.cpus[ci].tid as usize == MASTER && !self.is_a(ci) {
                     self.master_done = true;
                 }
-                return Ok(());
+                return Ok(None);
             }
             if self.cpus[ci].timeline.now() > self.cfg.max_cycles {
                 return Err(format!(
@@ -1714,9 +1722,10 @@ impl<'p> Engine<'p> {
             // Yield once we have advanced past the next pending event so
             // other processors observe memory in time order.
             if let Some(h) = self.q.peek_time() {
-                if self.cpus[ci].timeline.now() > h {
-                    self.yield_self(ci);
-                    return Ok(());
+                let now = self.cpus[ci].timeline.now();
+                if now > h {
+                    self.cpus[ci].next_wake = now;
+                    return Ok(Some(now));
                 }
             }
             // OS interference: steal a slice when the quantum expires.
@@ -1738,9 +1747,13 @@ impl<'p> Engine<'p> {
         }
     }
 
+    /// Run one step of `ci`'s top frame. `Seq`, `For` and `ChunkIter`
+    /// frames step in place: the cursor advances before a child is
+    /// entered, so the stack is what popping the frame and pushing the
+    /// advanced copy would leave, and the frame is popped by the step
+    /// that finds its loop finished. Every other frame is popped and run.
     fn step_once(&mut self, ci: usize) {
-        let fr = self.cpus[ci].frames.pop().expect("step with no frames");
-        match fr {
+        match *self.cpus[ci].frames.last().expect("step with no frames") {
             Frame::Seq { node, idx } => {
                 let cp = self.cp;
                 let (first, len) = match cp.ops[node.0 as usize] {
@@ -1748,8 +1761,10 @@ impl<'p> Engine<'p> {
                     _ => {
                         // Normalized singleton (non-Seq root).
                         if idx == 0 {
-                            self.cpus[ci].frames.push(Frame::Seq { node, idx: 1 });
+                            *self.top_frame(ci) = Frame::Seq { node, idx: 1 };
                             self.enter(ci, node);
+                        } else {
+                            self.cpus[ci].frames.pop();
                         }
                         return;
                     }
@@ -1772,17 +1787,18 @@ impl<'p> Engine<'p> {
                             self.busy(ci, cyc, TimeClass::Busy);
                         }
                         _ => {
-                            self.cpus[ci].frames.push(Frame::Seq { node, idx: i + 1 });
+                            *self.top_frame(ci) = Frame::Seq { node, idx: i + 1 };
                             self.enter(ci, kid);
                             return;
                         }
                     }
                     i += 1;
                     if i < len && self.must_bail(ci) {
-                        self.cpus[ci].frames.push(Frame::Seq { node, idx: i });
+                        *self.top_frame(ci) = Frame::Seq { node, idx: i };
                         return;
                     }
                 }
+                self.cpus[ci].frames.pop();
             }
             Frame::For {
                 var,
@@ -1818,6 +1834,8 @@ impl<'p> Engine<'p> {
                                     // and the retired prefix commits as
                                     // one batch — bit-identical to the
                                     // serial loop (see DESIGN.md §13).
+                                    // It pushes its own continuation.
+                                    self.cpus[ci].frames.pop();
                                     self.replay_const_run(
                                         ci, var, cur, end, step, body, stop_at, cyc, overhead,
                                     );
@@ -1830,16 +1848,17 @@ impl<'p> Engine<'p> {
                                     self.busy(ci, overhead + cyc, TimeClass::Busy);
                                     cur += step as i64;
                                     if cur >= stop_at {
+                                        self.cpus[ci].frames.pop();
                                         return;
                                     }
                                     if self.must_bail(ci) {
-                                        self.cpus[ci].frames.push(Frame::For {
+                                        *self.top_frame(ci) = Frame::For {
                                             var,
                                             cur,
                                             end,
                                             step,
                                             body,
-                                        });
+                                        };
                                         return;
                                     }
                                 }
@@ -1853,16 +1872,17 @@ impl<'p> Engine<'p> {
                                     self.busy(ci, overhead + cyc, TimeClass::Busy);
                                     cur += step as i64;
                                     if cur >= stop_at {
+                                        self.cpus[ci].frames.pop();
                                         return;
                                     }
                                     if self.must_bail(ci) {
-                                        self.cpus[ci].frames.push(Frame::For {
+                                        *self.top_frame(ci) = Frame::For {
                                             var,
                                             cur,
                                             end,
                                             step,
                                             body,
-                                        });
+                                        };
                                         return;
                                     }
                                 }
@@ -1871,50 +1891,68 @@ impl<'p> Engine<'p> {
                         }
                     }
                     self.cpus[ci].vars[var.0 as usize] = cur;
-                    self.cpus[ci].frames.push(Frame::For {
+                    *self.top_frame(ci) = Frame::For {
                         var,
                         cur: cur + step as i64,
                         end,
                         step,
                         body,
-                    });
+                    };
                     self.busy(ci, overhead, TimeClass::Busy);
                     self.enter(ci, body);
+                } else {
+                    self.cpus[ci].frames.pop();
                 }
             }
-            Frame::ChunkIter {
-                var,
-                chunks,
-                ci: cidx,
-                cur,
-                body,
-            } => {
-                // Find the next iteration, moving across chunks. `cur`
-                // starts at i64::MIN so the first iteration is chunk.lo.
-                let mut cidx = cidx;
-                let mut cur = cur;
-                loop {
-                    if cidx >= chunks.len() {
-                        return; // all chunks done; frame dropped
-                    }
-                    let ch = chunks[cidx];
-                    let v = cur.max(ch.lo);
-                    if v < ch.hi {
-                        self.cpus[ci].vars[var.0 as usize] = v;
-                        self.cpus[ci].frames.push(Frame::ChunkIter {
-                            var,
-                            chunks,
-                            ci: cidx,
-                            cur: v + 1,
-                            body,
-                        });
-                        self.busy(ci, self.cfg.machine.loop_overhead_cycles, TimeClass::Busy);
-                        self.enter(ci, body);
-                        return;
-                    }
-                    cidx += 1;
-                    cur = i64::MIN;
-                }
+            Frame::ChunkIter { .. } => self.step_chunks(ci),
+            _ => self.step_protocol(ci),
+        }
+    }
+
+    /// The frame `ci` is stepping in place.
+    fn top_frame(&mut self, ci: usize) -> &mut Frame {
+        self.cpus[ci]
+            .frames
+            .last_mut()
+            .expect("step with no frames")
+    }
+
+    /// Step the `ChunkIter` frame on top of `ci`'s stack in place: enter
+    /// the body at the next iteration, moving across chunks, or pop the
+    /// frame once every chunk is done.
+    fn step_chunks(&mut self, ci: usize) {
+        let Frame::ChunkIter {
+            var,
+            chunks,
+            ci: cidx,
+            cur,
+            body,
+        } = self.top_frame(ci)
+        else {
+            unreachable!("step_chunks on a non-ChunkIter frame");
+        };
+        // `cur` starts at i64::MIN so the first iteration is chunk.lo.
+        while let Some(ch) = chunks.get(*cidx) {
+            let v = (*cur).max(ch.lo);
+            if v < ch.hi {
+                *cur = v + 1;
+                let (var, body) = (*var, *body);
+                self.cpus[ci].vars[var.0 as usize] = v;
+                self.busy(ci, self.cfg.machine.loop_overhead_cycles, TimeClass::Busy);
+                self.enter(ci, body);
+                return;
+            }
+            *cidx += 1;
+            *cur = i64::MIN;
+        }
+        self.cpus[ci].frames.pop();
+    }
+
+    /// Pop a protocol frame off `ci`'s stack and run its step.
+    fn step_protocol(&mut self, ci: usize) {
+        match self.cpus[ci].frames.pop().expect("step with no frames") {
+            Frame::Seq { .. } | Frame::For { .. } | Frame::ChunkIter { .. } => {
+                unreachable!("loop frames step in place")
             }
             Frame::LoopEnd { node, stage } => self.loop_end(ci, node, stage),
             Frame::Bar { internal, stage } => self.barrier_step(ci, internal, stage),
@@ -3500,8 +3538,16 @@ impl<'p> Engine<'p> {
     /// as an uninterrupted run has it when its frontier first reaches
     /// that time: a `pump(Some(t))` followed by `pump(None)` is
     /// state-for-state identical to a single `pump(None)`.
+    ///
+    /// On the serial heap a self-yield is carried to the next iteration
+    /// and queued by the fused [`EventQueue::push_pop`]. It is later than
+    /// the heap top, so the limit check above it sees the same frontier,
+    /// and it takes the same sequence stamp `schedule` would have given
+    /// it (nothing is scheduled in between). Any exit with a yield still
+    /// carried queues it, so callers never see the difference.
     fn pump(&mut self, limit: Option<Cycle>) -> Result<(), String> {
         let parallel = matches!(self.q, Q::Domains(_));
+        let mut carried: Option<(Cycle, CpuId)> = None;
         loop {
             if let Some(lim) = limit {
                 match self.q.peek_time() {
@@ -3517,7 +3563,17 @@ impl<'p> Engine<'p> {
             if parallel {
                 self.form_window();
             }
-            let Some((t, cpu)) = self.q.pop() else { break };
+            let next = match carried.take() {
+                Some((t, cpu)) => {
+                    debug_assert!(
+                        self.q.peek_time().is_some_and(|h| t > h),
+                        "a carried yield must be later than the heap top"
+                    );
+                    Some(self.q.push_pop(t, cpu))
+                }
+                None => self.q.pop(),
+            };
+            let Some((t, cpu)) = next else { break };
             if self.master_done {
                 break;
             }
@@ -3541,7 +3597,16 @@ impl<'p> Engine<'p> {
             if c.status != Status::Ready || c.next_wake != t {
                 continue; // stale event
             }
-            self.run_cpu(cpu.0)?;
+            if let Some(wake) = self.run_cpu(cpu.0)? {
+                if parallel {
+                    self.q.schedule(wake, cpu);
+                } else {
+                    carried = Some((wake, cpu));
+                }
+            }
+        }
+        if let Some((t, cpu)) = carried {
+            self.q.schedule(t, cpu);
         }
         Ok(())
     }
