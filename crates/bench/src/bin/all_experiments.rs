@@ -1,53 +1,20 @@
 //! Run the complete evaluation (Figures 2–5) and write machine-readable
 //! results to `target/experiments.json`, plus a Markdown summary to
 //! stdout (the source for EXPERIMENTS.md's measured columns).
-//!
-//! With `SERVE_ADDR` set, every simulation is submitted to a running
-//! `serve` daemon instead of executed in-process; repeated invocations
-//! then answer from the daemon's result cache. Both paths flow through
-//! the same result rows and formatting code, so their output is
-//! byte-identical.
 
-use bench::serve::{suite_via_daemon, SuiteRow};
-use bench::{
-    best_slip_gain_rows, dynamic_suite, static_suite, suite_to_rows, to_records_rows, RunRecord,
-    DYNAMIC_MODES, STATIC_MODES,
-};
+use bench::{best_slip_gain, dynamic_suite, static_suite, to_records, RunRecord};
 use dsm_sim::{FillClass, ReqKind, TimeClass};
-use npb_kernels::Benchmark;
 use slipstream::MachineConfig;
-
-type Suite = Vec<(Benchmark, Vec<SuiteRow>)>;
-
-fn suites() -> (Suite, Suite) {
-    if let Some(addr) = bench::env::string("SERVE_ADDR") {
-        eprintln!("running the evaluation through the daemon at {addr}");
-        let stat = suite_via_daemon(&addr, &Benchmark::ALL, "paper", &STATIC_MODES)
-            .expect("daemon static suite");
-        let dyn_bms: Vec<Benchmark> = Benchmark::ALL
-            .iter()
-            .filter(|bm| bm.in_dynamic_experiment())
-            .copied()
-            .collect();
-        let dynm = suite_via_daemon(&addr, &dyn_bms, "dynamic", &DYNAMIC_MODES)
-            .expect("daemon dynamic suite");
-        (stat, dynm)
-    } else {
-        let machine = MachineConfig::paper();
-        (
-            suite_to_rows(&static_suite(&machine)),
-            suite_to_rows(&dynamic_suite(&machine)),
-        )
-    }
-}
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let (stat, dynm) = suites();
+    let machine = MachineConfig::paper();
+    let stat = static_suite(&machine);
+    let dynm = dynamic_suite(&machine);
 
     // JSON dump.
-    let mut records = to_records_rows(&stat);
-    records.extend(to_records_rows(&dynm));
+    let mut records = to_records(&stat);
+    records.extend(to_records(&dynm));
     let json = RunRecord::to_json_array(&records);
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/experiments.json", &json).expect("write json");
@@ -62,13 +29,9 @@ fn main() {
         for r in rows {
             print!("| {:.3} ", base / r.exec_cycles as f64);
         }
-        println!("| {:+.1}% |", 100.0 * best_slip_gain_rows(rows));
+        println!("| {:+.1}% |", 100.0 * best_slip_gain(rows));
     }
-    let avg: f64 = stat
-        .iter()
-        .map(|(_, r)| best_slip_gain_rows(r))
-        .sum::<f64>()
-        / stat.len() as f64;
+    let avg: f64 = stat.iter().map(|(_, r)| best_slip_gain(r)).sum::<f64>() / stat.len() as f64;
     println!(
         "\naverage best-slipstream gain: **{:+.1}%** (paper: ~13.5%)\n",
         100.0 * avg

@@ -6,79 +6,21 @@
 //! to `$ANALYZE_OUT` when set, and exits non-zero if any program has a
 //! deny-severity finding — the contract the CI `analyze` job enforces.
 //!
-//! With `SERVE_ADDR` set, each program's report is produced by a
-//! running `serve` daemon (`analyze` job kind) instead of in-process;
-//! both paths format through [`bench::analyze_one`], so the output is
-//! byte-identical either way.
-//!
 //! Environment:
-//! * `SERVE_ADDR` — route analysis through a sim-serve daemon.
 //! * `ANALYZE_OUT` — path for the JSON report array.
 //! * `ANALYZE_THREADS` — override the modelled team size (default 16).
 //! * `ANALYZE_BUDGET` — override the node-visit budget.
 
-use bench::{analysis_corpus, analyze_one};
+use bench::analysis_corpus;
 use omp_analyze::AnalyzeConfig;
 
-/// (table text, JSON item, deny count) per program, computed either
-/// in-process or by a daemon.
-fn reports(threads: Option<u64>, budget: Option<u64>) -> Vec<(String, String, u64)> {
-    let corpus = analysis_corpus();
-    if let Some(addr) = bench::env::string("SERVE_ADDR") {
-        eprintln!("analyzing through the daemon at {addr}");
-        let mut client = sim_serve::Client::connect(&addr).expect("connect to daemon");
-        let knob = |k: &str, v: Option<u64>| v.map(|n| format!(",\"{k}\":{n}")).unwrap_or_default();
-        corpus
-            .iter()
-            .map(|(label, _)| {
-                let spec = format!(
-                    "{{\"kind\":\"analyze\",\"program\":\"{label}\"{}{}}}",
-                    knob("threads", threads),
-                    knob("budget", budget),
-                );
-                let (_, payload) = client
-                    .run_to_payload(&spec, 0, None)
-                    .unwrap_or_else(|e| panic!("analyze {label}: {e}"));
-                let v = sim_trace::json::parse(&payload)
-                    .unwrap_or_else(|e| panic!("analyze {label} payload: {e}"));
-                let s = |k: &str| {
-                    v.get(k)
-                        .and_then(|x| x.as_str())
-                        .unwrap_or_else(|| panic!("analyze {label}: missing {k}"))
-                        .to_string()
-                };
-                let denies = v
-                    .get("denies")
-                    .and_then(|x| x.as_num())
-                    .map(|n| n as u64)
-                    .unwrap_or_else(|| panic!("analyze {label}: missing denies"));
-                (s("text"), s("json_item"), denies)
-            })
-            .collect()
-    } else {
-        let mut cfg = AnalyzeConfig::paper();
-        if let Some(t) = threads {
-            cfg = cfg.with_threads(t);
-        }
-        if let Some(b) = budget {
-            cfg = cfg.with_budget(b);
-        }
-        corpus
-            .iter()
-            .map(|(label, program)| analyze_one(label, program, &cfg))
-            .collect()
-    }
-}
-
 fn main() {
-    let threads = bench::env::get::<u64>("ANALYZE_THREADS");
-    let budget = bench::env::get::<u64>("ANALYZE_BUDGET");
-
-    // The header reports the effective config; resolve it locally even
-    // when the reports come from a daemon.
     let mut cfg = AnalyzeConfig::paper();
-    if let Some(t) = threads {
+    if let Some(t) = bench::env::get::<u64>("ANALYZE_THREADS") {
         cfg = cfg.with_threads(t);
+    }
+    if let Some(b) = bench::env::get::<u64>("ANALYZE_BUDGET") {
+        cfg = cfg.with_budget(b);
     }
     println!(
         "slipstream-safety analysis: {} threads, {} L2 lines/node\n",
@@ -91,10 +33,37 @@ fn main() {
 
     let mut json_items = Vec::new();
     let mut total_denies = 0u64;
-    for (text, json_item, denies) in reports(threads, budget) {
-        total_denies += denies;
-        println!("{text}");
-        json_items.push(json_item);
+    for (label, program) in analysis_corpus() {
+        let r = omp_analyze::analyze(&program, &cfg);
+        let lead = r.regions.iter().map(|g| g.lead_phases).max().unwrap_or(0);
+        let status = if r.truncated {
+            "TRUNCATED"
+        } else if r.deny_count() > 0 {
+            "DENY"
+        } else if !r.findings.is_empty() {
+            "warn"
+        } else {
+            "clean"
+        };
+        println!(
+            "{:<18} {:>7} {:>5} {:>5} {:>5} {:>6} {:>9}  {}",
+            label,
+            r.regions.len(),
+            r.deny_count(),
+            r.warn_count(),
+            r.info_count(),
+            lead,
+            r.visits,
+            status
+        );
+        for f in &r.findings {
+            println!("    {f}");
+        }
+        total_denies += r.deny_count() as u64;
+        json_items.push(format!(
+            "{{\"program\":\"{label}\",\"report\":{}}}",
+            r.to_json()
+        ));
     }
 
     if let Some(path) = bench::env::string("ANALYZE_OUT") {

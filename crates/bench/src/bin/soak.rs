@@ -312,54 +312,10 @@ fn run_scenario(s: &Scenario, programs: &[(Program, TraceSummary)]) -> Result<Ta
     })
 }
 
-/// `SERVE_ADDR`-gated cross-check: ship each kernel program over the
-/// wire as `program_json`, let the daemon simulate it under a seeded
-/// fault plan, and compare its result fingerprint against an identical
-/// in-process run. Exercises program serialization, the daemon's spec
-/// path, and cross-process engine determinism in one sweep.
-fn cross_check_daemon(addr: &str, seed_base: u64) {
-    eprintln!(
-        "soak: cross-checking {} kernels against the daemon at {addr}",
-        Benchmark::ALL.len()
-    );
-    let mut client = sim_serve::Client::connect(addr).expect("connect to daemon");
-    for (k, bm) in Benchmark::ALL.iter().enumerate() {
-        let program = bm.build_tiny();
-        let seed = seed_base + 0x50AC + k as u64;
-        let spec = format!(
-            "{{\"kind\":\"run\",\"program_json\":\"{}\",\"machine\":\"small\",\
-             \"mode\":\"slip-G0\",\"workers\":1,\
-             \"fault_seed\":{seed},\"fault_team\":{TEAM},\"fault_events\":4}}",
-            sim_serve::proto::esc(&omp_ir::program_to_json(&program)),
-        );
-        let (_, payload) = client
-            .run_to_payload(&spec, 0, None)
-            .unwrap_or_else(|e| panic!("daemon cross-check {}: {e}", bm.name()));
-        let row = bench::serve::SuiteRow::from_payload(&payload).expect("row payload");
-        let opts = RunOptions::new(ExecMode::Slipstream)
-            .with_machine(machine(TEAM as usize))
-            .with_sync(SlipSync::G0)
-            .with_faults(FaultPlan::random(seed, TEAM, 4))
-            .with_workers(pool::engine_workers(1));
-        let local = run_program(&program, &opts).expect("local cross-check run");
-        assert_eq!(
-            row.fingerprint,
-            bench::summary_fingerprint(&local),
-            "daemon and in-process runs diverged for {}",
-            bm.name()
-        );
-    }
-    eprintln!("soak: daemon cross-check passed");
-}
-
 fn main() {
     let scenarios = env::get_or("SOAK_SCENARIOS", 200);
     let seed_base = env::get_or("SOAK_SEED", 0);
     let fail_file = env::string_or("SOAK_FAIL_FILE", "soak-failing-seeds.txt");
-
-    if let Some(addr) = env::string("SERVE_ADDR") {
-        cross_check_daemon(&addr, seed_base);
-    }
 
     // Programs and their fault-free oracles, computed once. Index 0..5
     // are the NPB kernels (tiny class); 5 is the crafted-scenario

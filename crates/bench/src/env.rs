@@ -1,7 +1,7 @@
 //! Uniform environment-variable parsing for the bench binaries.
 //!
 //! Every knob across the harness (`BENCH_WORKERS`, `SIM_WORKERS`,
-//! `SOAK_*`, `FUZZ_*`, `THROUGHPUT_*`, `TRACE_*`, `SERVE_*`, ...)
+//! `SOAK_*`, `FUZZ_*`, `THROUGHPUT_*`, `TRACE_*`, `ANALYZE_*`, ...)
 //! resolves through these helpers so the rules are identical
 //! everywhere: an unset or empty variable falls back to its default,
 //! and a *malformed* value aborts loudly with a uniform message instead
@@ -49,11 +49,6 @@ pub fn string_or(name: &str, default: &str) -> String {
 /// presence-style switches like `GOLDEN_BLESS=1`.
 pub fn flag(name: &str) -> bool {
     std::env::var_os(name).is_some()
-}
-
-/// Read `name` as a filesystem path (empty counts as unset).
-pub fn path(name: &str) -> Option<std::path::PathBuf> {
-    string(name).map(std::path::PathBuf::from)
 }
 
 /// Read `name` as a comma-separated list. Unset or empty returns the

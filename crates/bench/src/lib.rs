@@ -10,11 +10,11 @@
 
 pub mod env;
 pub mod pool;
-pub mod serve;
 
 use npb_kernels::{Benchmark, CgParams, Grid3};
 use omp_ir::expr::Expr;
 use omp_ir::node::{Node, Program, ScheduleSpec, SlipSyncType, SlipstreamClause};
+use omp_ir::serialize::escape_json;
 use omp_ir::{BlockBuilder, ProgramBuilder};
 use omp_rt::mode::{ExecMode, SlipSync};
 use omp_rt::RuntimeEnv;
@@ -61,25 +61,10 @@ pub struct RunRecord {
     pub sched_grabs: u64,
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_pairs(pairs: &[(String, f64)]) -> String {
     let items: Vec<String> = pairs
         .iter()
-        .map(|(k, v)| format!("[\"{}\",{}]", json_escape(k), v))
+        .map(|(k, v)| format!("[\"{}\",{}]", escape_json(k), v))
         .collect();
     format!("[{}]", items.join(","))
 }
@@ -92,8 +77,8 @@ impl RunRecord {
             "{{\"benchmark\":\"{}\",\"mode\":\"{}\",\"cycles\":{},\
              \"speedup_vs_single\":{},\"breakdown\":{},\"read_fills\":{},\
              \"readex_fills\":{},\"stores_converted\":{},\"sched_grabs\":{}}}",
-            json_escape(&self.benchmark),
-            json_escape(&self.mode),
+            escape_json(&self.benchmark),
+            escape_json(&self.mode),
             self.cycles,
             self.speedup_vs_single,
             json_pairs(&self.breakdown),
@@ -108,43 +93,6 @@ impl RunRecord {
     pub fn to_json_array(records: &[RunRecord]) -> String {
         let items: Vec<String> = records.iter().map(|r| r.to_json()).collect();
         format!("[{}]", items.join(",\n"))
-    }
-
-    /// Build a record from a daemon result row (speedup filled in by
-    /// the caller). Mirrors [`RunRecord::from_summary`] exactly: the
-    /// row carries the same integers, so the derived fractions — and
-    /// the serialized JSON — are bit-identical between the direct and
-    /// daemon paths.
-    pub fn from_row(r: &serve::SuiteRow, speedup: f64) -> Self {
-        use dsm_sim::{ReqKind, TimeClass, FILL_CLASSES};
-        let classes = [
-            TimeClass::Busy,
-            TimeClass::MemStall,
-            TimeClass::Lock,
-            TimeClass::Barrier,
-            TimeClass::Scheduling,
-            TimeClass::JobWait,
-        ];
-        RunRecord {
-            benchmark: r.name.clone(),
-            mode: r.label.clone(),
-            cycles: r.exec_cycles,
-            speedup_vs_single: speedup,
-            breakdown: classes
-                .iter()
-                .map(|c| (c.label().to_string(), r.r_breakdown.fraction(*c)))
-                .collect(),
-            read_fills: FILL_CLASSES
-                .iter()
-                .map(|c| (c.label().to_string(), r.fills.fraction(ReqKind::Read, *c)))
-                .collect(),
-            readex_fills: FILL_CLASSES
-                .iter()
-                .map(|c| (c.label().to_string(), r.fills.fraction(ReqKind::ReadEx, *c)))
-                .collect(),
-            stores_converted: r.stores_converted,
-            sched_grabs: r.sched_grabs,
-        }
     }
 
     /// Build a record from a summary (speedup filled in by the caller).
@@ -287,53 +235,6 @@ pub fn to_records(suite: &[(Benchmark, Vec<RunSummary>)]) -> Vec<RunRecord> {
     out
 }
 
-/// Project a whole suite of summaries down to daemon-style result rows.
-/// The figure binaries report over rows so the direct and daemon paths
-/// share one formatting path (and therefore produce identical output).
-pub fn suite_to_rows(
-    suite: &[(Benchmark, Vec<RunSummary>)],
-) -> Vec<(Benchmark, Vec<serve::SuiteRow>)> {
-    suite
-        .iter()
-        .map(|(bm, rows)| {
-            (
-                *bm,
-                rows.iter().map(serve::SuiteRow::from_summary).collect(),
-            )
-        })
-        .collect()
-}
-
-/// [`to_records`] over daemon-style rows: speedups normalized to each
-/// benchmark's single-mode run.
-pub fn to_records_rows(suite: &[(Benchmark, Vec<serve::SuiteRow>)]) -> Vec<RunRecord> {
-    let mut out = Vec::new();
-    for (_, rows) in suite {
-        let base = rows[0].exec_cycles;
-        for r in rows {
-            out.push(RunRecord::from_row(r, base as f64 / r.exec_cycles as f64));
-        }
-    }
-    out
-}
-
-/// [`best_slip_gain`] over daemon-style rows.
-pub fn best_slip_gain_rows(rows: &[serve::SuiteRow]) -> f64 {
-    let best_base = rows
-        .iter()
-        .filter(|r| !r.label.starts_with("slip"))
-        .map(|r| r.exec_cycles)
-        .min()
-        .expect("baseline modes present");
-    let best_slip = rows
-        .iter()
-        .filter(|r| r.label.starts_with("slip"))
-        .map(|r| r.exec_cycles)
-        .min()
-        .expect("slipstream modes present");
-    best_base as f64 / best_slip as f64 - 1.0
-}
-
 /// The "best slipstream vs best(single, double)" headline number of the
 /// paper's Section 5.1, per benchmark.
 pub fn best_slip_gain(rows: &[RunSummary]) -> f64 {
@@ -365,12 +266,7 @@ pub fn summary_fingerprint(s: &RunSummary) -> String {
 /// rows were produced under different configurations (machine, preset,
 /// mode, tracing) and refuse to compare them.
 pub fn config_hash(canonical: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    dsm_sim::fnv1a(canonical.as_bytes())
 }
 
 /// The canonical configuration string hashed into throughput rows: every
@@ -409,7 +305,7 @@ pub fn bench_point(name: &str, iters: u32, mut f: impl FnMut() -> u64) -> u64 {
     // perf trajectory across commits.
     println!(
         "BENCH_JSON {{\"bench\":\"{}\",\"best_ns\":{},\"iters\":{}}}",
-        json_escape(name),
+        escape_json(name),
         best,
         iters
     );
@@ -418,9 +314,8 @@ pub fn bench_point(name: &str, iters: u32, mut f: impl FnMut() -> u64) -> u64 {
 
 /// The static-analyzer sweep corpus: every NPB kernel (tiny + paper
 /// presets, plus dynamic/guided scheduling variants for the kernels in
-/// the dynamic experiment) and every example-analogue program. Shared
-/// by the `analyze` binary and the daemon's `analyze` job kind so both
-/// paths sweep exactly the same programs under the same labels.
+/// the dynamic experiment) and every example-analogue program, swept by
+/// the `analyze` binary and pinned by the `analyzer_parity` test.
 pub fn analysis_corpus() -> Vec<(String, Program)> {
     let mut out = Vec::new();
     for bm in Benchmark::ALL {
@@ -441,45 +336,6 @@ pub fn analysis_corpus() -> Vec<(String, Program)> {
         out.push((format!("example-{}", p.name), p));
     }
     out
-}
-
-/// Analyze one corpus program and render the `analyze` binary's
-/// per-program output: the table row (with finding lines appended),
-/// the JSON report item, and the deny count. Both the direct CLI path
-/// and the daemon path format through this function, so their output
-/// is identical byte-for-byte.
-pub fn analyze_one(
-    label: &str,
-    program: &Program,
-    cfg: &omp_analyze::AnalyzeConfig,
-) -> (String, String, u64) {
-    let r = omp_analyze::analyze(program, cfg);
-    let lead = r.regions.iter().map(|g| g.lead_phases).max().unwrap_or(0);
-    let status = if r.truncated {
-        "TRUNCATED"
-    } else if r.deny_count() > 0 {
-        "DENY"
-    } else if !r.findings.is_empty() {
-        "warn"
-    } else {
-        "clean"
-    };
-    let mut text = format!(
-        "{:<18} {:>7} {:>5} {:>5} {:>5} {:>6} {:>9}  {}",
-        label,
-        r.regions.len(),
-        r.deny_count(),
-        r.warn_count(),
-        r.info_count(),
-        lead,
-        r.visits,
-        status
-    );
-    for f in &r.findings {
-        text.push_str(&format!("\n    {f}"));
-    }
-    let json_item = format!("{{\"program\":\"{label}\",\"report\":{}}}", r.to_json());
-    (text, json_item, r.deny_count() as u64)
 }
 
 /// A fast machine/workload pair for timing runs and smoke tests: the
@@ -646,6 +502,23 @@ mod tests {
                 p.name,
                 r.render_text()
             );
+        }
+    }
+
+    #[test]
+    fn npb_kernels_round_trip_through_program_json() {
+        for bm in Benchmark::ALL {
+            for p in [
+                bm.build_tiny(),
+                bm.build_paper(None),
+                dynamic_program(bm, 16),
+            ] {
+                let json = omp_ir::program_to_json(&p);
+                let back = omp_ir::program_from_json(&json)
+                    .unwrap_or_else(|e| panic!("{} ({}): {e}", bm.name(), p.name));
+                assert_eq!(back, p, "{} ({}) changed in transit", bm.name(), p.name);
+                assert_eq!(omp_ir::program_to_json(&back), json);
+            }
         }
     }
 

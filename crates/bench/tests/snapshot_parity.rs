@@ -145,8 +145,8 @@ fn fault_plan_active_at_the_boundary_restores_identically() {
 
 #[test]
 fn fault_free_warmup_forks_into_faulted_continuations() {
-    // The warm-start pattern sim-serve relies on: checkpoint once with
-    // no fault plan, then fork each sweep member with its own plan.
+    // The warm-start pattern of a fault sweep: checkpoint once with no
+    // fault plan, then fork each sweep member with its own plan.
     // Legal because no fault of the stored plan fired before the
     // checkpoint. Fault hooks match their sequence counters *exactly*,
     // so a fork only equals the straight faulted run when the plan's
@@ -161,7 +161,12 @@ fn fault_free_warmup_forks_into_faulted_continuations() {
         .with_health(HealthPolicy::adaptive());
     base.env = RuntimeEnv::default();
     let (_, cycles) = straight(&program, &base);
-    let cp = checkpoint_program(&program, &base, (cycles / 50).max(1)).expect("warmup checkpoint");
+    let at = (cycles / 50).max(1);
+    let cp = checkpoint_program(&program, &base, at).expect("warmup checkpoint");
+    // A shared warmup must be interchangeable with a per-job one: a
+    // second checkpoint at the same cycle is the same bytes.
+    let cp2 = checkpoint_program(&program, &base, at).expect("second warmup checkpoint");
+    assert!(cp.bytes == cp2.bytes, "checkpoints at cycle {at} differ");
 
     let late_wander = (1..=6)
         .rev()
@@ -184,15 +189,15 @@ fn fault_free_warmup_forks_into_faulted_continuations() {
 
     // Random plans may hook counters the warmup already passed, so the
     // straight run is not comparable — but forking must be legal and
-    // the forks themselves bit-reproducible.
+    // the forks themselves bit-reproducible from either checkpoint.
     for seed in [3u64, 11] {
         let o = base.clone().with_faults(FaultPlan::random(seed, 4, 5));
         let a = resume_program(&program, &o, &cp.bytes).expect("fork a");
-        let b = resume_program(&program, &o, &cp.bytes).expect("fork b");
+        let b = resume_program(&program, &o, &cp2.bytes).expect("fork b");
         assert_eq!(
             summary_fingerprint(&a),
             summary_fingerprint(&b),
-            "fork (seed {seed}) must be deterministic"
+            "forks (seed {seed}) from the two checkpoints must agree"
         );
     }
 }

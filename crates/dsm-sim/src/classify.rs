@@ -123,19 +123,6 @@ impl FillCounts {
         self.counts[kind_index(kind)].iter().sum()
     }
 
-    /// Rebuild counts from raw per-class cells in [`FILL_CLASSES`]
-    /// order — the inverse of reading every [`FillCounts::get`] cell
-    /// (used to reconstitute a daemon result payload). Slices must have
-    /// one cell per fill class.
-    pub fn from_cells(read: &[u64], readex: &[u64]) -> FillCounts {
-        assert_eq!(read.len(), FILL_CLASSES.len(), "read cell count");
-        assert_eq!(readex.len(), FILL_CLASSES.len(), "readex cell count");
-        let mut fc = FillCounts::default();
-        fc.counts[0].copy_from_slice(read);
-        fc.counts[1].copy_from_slice(readex);
-        fc
-    }
-
     /// Fraction of `kind` fills in `class` (0 when no fills).
     pub fn fraction(&self, kind: ReqKind, class: FillClass) -> f64 {
         let t = self.total(kind);

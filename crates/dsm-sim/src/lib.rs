@@ -54,6 +54,7 @@ pub use memsys::{AccessKind, AccessLocality, AccessResult, MachineCounters, MemS
 pub use network::Network;
 pub use pdes::{clamp_workers, lookahead_cycles, resolve_workers, PdesConfig};
 pub use rng::SplitMix64;
+pub use snap::fnv1a;
 pub use stats::{CpuStats, StreamRole, TimeBreakdown, TimeClass, TIME_CLASSES};
 pub use sync::{Barrier, Lock, Semaphore};
 pub use util::{FastMap, FastSet, U64Hasher};

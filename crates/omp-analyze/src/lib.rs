@@ -48,14 +48,7 @@ pub use report::{AnalysisReport, Equivalence, RegionReport, SkipSet};
 use omp_ir::node::{Program, SlipSyncType};
 
 /// FNV-1a 64-bit hash — the repo-wide stable fingerprint function.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use dsm_sim::fnv1a as fnv1a64;
 
 /// Which constructs the A-stream skips or executes — mirrors
 /// `slipstream`'s per-construct A-stream policy so the analyzer models

@@ -4,6 +4,7 @@
 
 use crate::cert::{PhaseCertificate, PhaseClass, ReplayLoop};
 use crate::finding::{Finding, Severity};
+use omp_ir::serialize::escape_json;
 use omp_ir::NodePath;
 use std::fmt::Write as _;
 
@@ -306,7 +307,7 @@ impl AnalysisReport {
         let _ = write!(
             s,
             "\"program\":\"{}\",\"num_threads\":{},\"l2_lines\":{},\"clean\":{},\"deny\":{},\"warn\":{},\"info\":{},\"suppressed\":{},\"truncated\":{},\"visits\":{}",
-            json_escape(&self.program),
+            escape_json(&self.program),
             self.num_threads,
             self.l2_lines,
             self.is_clean(),
@@ -328,10 +329,10 @@ impl AnalysisReport {
                 f.hazard.key(),
                 f.severity.as_str(),
                 f.fingerprint(),
-                json_escape(&f.path.to_string()),
+                escape_json(&f.path.to_string()),
             );
             if let Some(r) = &f.related {
-                let _ = write!(s, ",\"related\":\"{}\"", json_escape(&r.to_string()));
+                let _ = write!(s, ",\"related\":\"{}\"", escape_json(&r.to_string()));
             }
             if let Some(reg) = f.region {
                 let _ = write!(s, ",\"region\":{reg}");
@@ -339,7 +340,7 @@ impl AnalysisReport {
             if let Some(p) = f.phase {
                 let _ = write!(s, ",\"phase\":{p}");
             }
-            let _ = write!(s, ",\"message\":\"{}\"}}", json_escape(&f.message));
+            let _ = write!(s, ",\"message\":\"{}\"}}", escape_json(&f.message));
         }
         s.push_str("],\"regions\":[");
         for (i, r) in self.regions.iter().enumerate() {
@@ -350,7 +351,7 @@ impl AnalysisReport {
             let _ = write!(
                 s,
                 "{{\"path\":\"{}\",\"phases\":{},\"sync\":\"{}\",\"tokens\":{},\"lead_phases\":{},\"max_phase_lines\":{},\"max_window_lines\":{},\"skips\":{{\"singles\":{},\"masters\":{},\"criticals\":{},\"sections\":{},\"reduction_combines\":{},\"shared_stores_converted\":{},\"shared_stores_skipped\":{},\"atomics_executed\":{},\"flushes_dropped\":{},\"io_skipped\":{}}}}}",
-                json_escape(&r.path.to_string()),
+                escape_json(&r.path.to_string()),
                 r.phases,
                 r.sync,
                 r.tokens,
@@ -380,7 +381,7 @@ impl AnalysisReport {
                 c.region,
                 c.phase,
                 c.class.label(),
-                json_escape(&c.path.to_string()),
+                escape_json(&c.path.to_string()),
                 c.exact,
                 c.arrays,
                 c.writes,
@@ -390,7 +391,7 @@ impl AnalysisReport {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "\"{}\"", json_escape(r));
+                let _ = write!(s, "\"{}\"", escape_json(r));
             }
             s.push_str("]}");
         }
@@ -403,7 +404,7 @@ impl AnalysisReport {
                 s,
                 "{{\"region\":{},\"path\":\"{}\",\"var\":{},\"begin\":{},\"end\":{},\"step\":{},\"trip_count\":{},\"phase_start\":{},\"phases_per_iteration\":{},\"guard_checksum\":\"{:016x}\",\"fingerprint\":\"{:016x}\"}}",
                 l.region,
-                json_escape(&l.path.to_string()),
+                escape_json(&l.path.to_string()),
                 l.var,
                 l.begin,
                 l.end,
@@ -418,25 +419,6 @@ impl AnalysisReport {
         s.push_str("]}");
         s
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -536,7 +518,7 @@ mod tests {
         assert!(j.contains("\"hazard\":\"race-ww\""));
         assert!(j.contains("x \\\"quoted\\\""));
         assert!(j.contains("\"regions\":[{"));
-        assert_eq!(json_escape("a\nb"), "a\\nb");
+        assert_eq!(escape_json("a\nb"), "a\\nb");
     }
 
     #[test]

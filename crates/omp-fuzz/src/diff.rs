@@ -187,14 +187,7 @@ impl Failure {
 }
 
 /// FNV-1a over bytes (stable across platforms and runs).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use dsm_sim::fnv1a as fnv1a64;
 
 /// Outcome of one differential case.
 #[derive(Debug, Clone)]

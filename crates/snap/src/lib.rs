@@ -367,42 +367,6 @@ pub fn open(bytes: &[u8], want_version: u32) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Validate the envelope at the *front* of `bytes` and return its
-/// payload plus the total number of bytes the envelope occupies.
-///
-/// This is the streaming sibling of [`open`]: a file of concatenated
-/// sealed envelopes (the sim-serve job journal) is consumed by calling
-/// `open_prefix` repeatedly, advancing by the returned length. Any
-/// defect — missing header bytes, wrong magic or version, a payload cut
-/// short, a checksum mismatch — returns an error without reading past
-/// the defective record, so a torn tail can be detected and discarded
-/// cleanly.
-pub fn open_prefix(bytes: &[u8], want_version: u32) -> Result<(&[u8], usize), SnapError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64().map_err(|_| SnapError::BadMagic)?;
-    if magic != MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != want_version {
-        return Err(SnapError::VersionMismatch {
-            found: version,
-            want: want_version,
-        });
-    }
-    let len = r.usize()?;
-    let sum = r.u64()?;
-    if r.remaining() < len {
-        return Err(SnapError::Truncated { what: "payload" });
-    }
-    const HEADER: usize = 8 + 4 + 8 + 8;
-    let payload = &bytes[HEADER..HEADER + len];
-    if fnv1a(payload) != sum {
-        return Err(SnapError::ChecksumMismatch);
-    }
-    Ok((payload, HEADER + len))
-}
-
 /// Leak-once static-string table backing [`intern`].
 static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
@@ -502,37 +466,6 @@ mod tests {
         let mut short = sealed.clone();
         short.truncate(sealed.len() - 1);
         assert!(open(&short, 3).is_err());
-    }
-
-    #[test]
-    fn open_prefix_walks_a_concatenated_stream() {
-        let mut stream = Vec::new();
-        let records: Vec<Vec<u8>> = vec![b"first".to_vec(), b"second record".to_vec(), vec![]];
-        for rec in &records {
-            stream.extend_from_slice(&seal(9, rec));
-        }
-        let mut pos = 0;
-        let mut seen = Vec::new();
-        while pos < stream.len() {
-            let (payload, used) = open_prefix(&stream[pos..], 9).unwrap();
-            seen.push(payload.to_vec());
-            pos += used;
-        }
-        assert_eq!(seen, records);
-        // A torn tail errors at every truncation offset of the last record.
-        let last_start = stream.len() - seal(9, &records[2]).len();
-        for cut in last_start + 1..stream.len() {
-            assert!(
-                open_prefix(&stream[last_start..cut], 9).is_err(),
-                "cut at {cut} must not validate"
-            );
-        }
-        // Garbage at the front is BadMagic, not a panic.
-        assert!(matches!(
-            open_prefix(b"garbage bytes here....", 9),
-            Err(SnapError::BadMagic)
-        ));
-        assert!(open_prefix(&stream[..10], 9).is_err());
     }
 
     #[test]
