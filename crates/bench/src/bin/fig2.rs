@@ -11,7 +11,13 @@ fn main() {
     let mut machine = MachineConfig::paper();
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--machine-cmps") {
-        machine.num_cmps = args[i + 1].parse().expect("bad --machine-cmps");
+        match args.get(i + 1).map(|v| v.parse::<usize>()) {
+            Some(Ok(n)) if n > 0 => machine.num_cmps = n,
+            _ => {
+                eprintln!("fig2: --machine-cmps needs a positive integer");
+                std::process::exit(2);
+            }
+        }
     }
     println!(
         "Figure 2: static scheduling on {} CMPs — speedup over single mode\n",

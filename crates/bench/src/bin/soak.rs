@@ -7,16 +7,14 @@
 //! 2. **Oracle exactness** — the R-stream's architectural output (loads,
 //!    stores, compute, I/O) is bit-identical to the fault-free reference
 //!    executor, whatever the A-streams suffered;
-//! 3. **Controller consistency** — the structured trace's health and
-//!    breaker transitions are legal under the state machines, replay to
-//!    the ledger's final states, and the traced recovery/demotion counts
-//!    match the aggregate counters.
+//! 3. **Trace consistency** — on lossless traces, the traced recovery
+//!    counts match the aggregate counters, and demotion is visibly
+//!    one-way: each pair has at most one `Demotion` event, their total
+//!    equals the run's demotion count, and the pairs with an event are
+//!    exactly the ledger's demoted pairs.
 //!
-//! On top of the random sweep, two crafted scenarios pin the closed-loop
-//! behaviours the controller exists for: a transient fault that demotes a
-//! pair and must end with a successful probationary re-promotion, and a
-//! half-team outage that must trip the team breaker and re-close it after
-//! the pair heals.
+//! On top of the random sweep, one crafted scenario loses a token with
+//! the watchdog off and must be rescued by the token-wait timeout alone.
 //!
 //! Every scenario is a pure function of its seed; any failure is appended
 //! to `soak-failing-seeds.txt` (override with `SOAK_FAIL_FILE`) so it can
@@ -28,12 +26,9 @@ use npb_kernels::Benchmark;
 use omp_ir::expr::Expr;
 use omp_ir::node::Program;
 use omp_ir::trace::{trace, TraceSummary};
-use omp_rt::mode::{HealthState, PairMode, HEALTH_STATES};
-use omp_rt::team::BreakerConfig;
 use omp_rt::{ExecMode, SlipSync};
 use sim_trace::{TraceConfig, TraceEvent};
 use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
-use slipstream::health::HealthPolicy;
 use slipstream::policy::RecoveryPolicy;
 use slipstream::runner::{run_program, RunOptions, RunSummary};
 use slipstream::MachineConfig;
@@ -52,8 +47,8 @@ fn machine(cmps: usize) -> MachineConfig {
     m
 }
 
-/// The crafted-scenario program: identical parallel regions give the
-/// health controller a clean region clock for cool-down and probation.
+/// The crafted-scenario program: identical parallel regions of static
+/// loops.
 fn multi_region(n: i64, regions: usize, fors: usize) -> Program {
     let mut b = omp_ir::ProgramBuilder::new("regions");
     let x = b.shared_array("x", n as u64, 8);
@@ -81,10 +76,9 @@ struct Scenario {
     sync: SlipSync,
     plan: FaultPlan,
     recovery: RecoveryPolicy,
-    health: HealthPolicy,
-    /// Crafted-scenario expectations (None for the random sweep).
-    expect_repromotion: bool,
-    expect_breaker_cycle: bool,
+    /// Crafted-scenario expectation: the token-wait timeout must recover
+    /// at least once.
+    expect_timeout: bool,
 }
 
 /// Aggregate counters surviving a scenario, for the end-of-soak summary.
@@ -94,9 +88,6 @@ struct Tally {
     watchdog: u64,
     timeout: u64,
     demotions: u64,
-    repromotions: u64,
-    trips: u64,
-    reclosures: u64,
     max_cycles: u64,
 }
 
@@ -121,64 +112,28 @@ fn check_oracle(r: &RunSummary, oracle: &TraceSummary) -> Result<(), String> {
     Ok(())
 }
 
-fn health_by_label(l: &str) -> Result<HealthState, String> {
-    HEALTH_STATES
-        .iter()
-        .copied()
-        .find(|s| s.label() == l)
-        .ok_or_else(|| format!("unknown health label {l}"))
-}
-
-/// Invariant 3: replay the traced controller transitions. Per-event
-/// legality always holds; state continuity and final-state agreement with
-/// the ledger are only checked on lossless traces (the per-track rings
-/// drop oldest on overflow).
+/// Invariant 3: reconcile the structured trace with the counters. Only
+/// lossless traces are checked (the per-track rings drop oldest on
+/// overflow).
 fn check_trace_consistency(r: &RunSummary) -> Result<(), String> {
     let data = match r.raw.trace.as_ref() {
         Some(d) => d,
         None => return Err("soak runs must be traced".into()),
     };
-    let lossless = data.dropped == 0;
-    let mut health: Vec<HealthState> = vec![HealthState::Healthy; r.raw.pair_ledgers.len()];
-    let mut breaker = "closed";
+    if data.dropped > 0 {
+        return Ok(());
+    }
+    let mut demotion_events = vec![0u64; r.raw.pair_ledgers.len()];
     let mut traced_recoveries = 0u64;
     let mut traced_timeout = 0u64;
     let mut traced_watchdog = 0u64;
     for e in &data.events {
         match &e.ev {
-            TraceEvent::Health { pair, from, to } => {
-                let (f, t) = (health_by_label(from)?, health_by_label(to)?);
-                if !f.can_transition_to(t) {
-                    return Err(format!(
-                        "illegal health transition {from} -> {to} (pair {pair})"
-                    ));
-                }
-                let p = *pair as usize;
-                if lossless && health[p] != f {
-                    return Err(format!(
-                        "health discontinuity on pair {pair}: at {:?}, event claims {from} -> {to}",
-                        health[p]
-                    ));
-                }
-                health[p] = t;
-            }
-            TraceEvent::Breaker { from, to, .. } => {
-                let legal = matches!(
-                    (*from, *to),
-                    ("closed", "open")
-                        | ("open", "half-open")
-                        | ("half-open", "closed")
-                        | ("half-open", "open")
-                );
-                if !legal {
-                    return Err(format!("illegal breaker transition {from} -> {to}"));
-                }
-                if lossless && breaker != *from {
-                    return Err(format!(
-                        "breaker discontinuity: at {breaker}, event claims {from} -> {to}"
-                    ));
-                }
-                breaker = to;
+            TraceEvent::Demotion { pair } => {
+                let slot = demotion_events
+                    .get_mut(*pair as usize)
+                    .ok_or_else(|| format!("demotion event for unknown pair {pair}"))?;
+                *slot += 1;
             }
             TraceEvent::Recovery {
                 watchdog, timeout, ..
@@ -194,25 +149,35 @@ fn check_trace_consistency(r: &RunSummary) -> Result<(), String> {
             _ => {}
         }
     }
-    if lossless {
-        for (p, l) in r.raw.pair_ledgers.iter().enumerate() {
-            if health[p] != l.health {
-                return Err(format!(
-                    "trace replay of pair {p} ends {:?}, ledger says {:?}",
-                    health[p], l.health
-                ));
-            }
-        }
-        if traced_recoveries != r.raw.recoveries
-            || traced_watchdog != r.raw.watchdog_recoveries
-            || traced_timeout != r.raw.timeout_recoveries
-        {
+    if traced_recoveries != r.raw.recoveries
+        || traced_watchdog != r.raw.watchdog_recoveries
+        || traced_timeout != r.raw.timeout_recoveries
+    {
+        return Err(format!(
+            "traced recovery counts {traced_recoveries}/{traced_watchdog}/{traced_timeout} \
+             disagree with aggregates {}/{}/{}",
+            r.raw.recoveries, r.raw.watchdog_recoveries, r.raw.timeout_recoveries
+        ));
+    }
+    for (p, (&n, l)) in demotion_events.iter().zip(&r.raw.pair_ledgers).enumerate() {
+        if n > 1 {
             return Err(format!(
-                "traced recovery counts {traced_recoveries}/{traced_watchdog}/{traced_timeout} \
-                 disagree with aggregates {}/{}/{}",
-                r.raw.recoveries, r.raw.watchdog_recoveries, r.raw.timeout_recoveries
+                "pair {p} was demoted {n} times; demotion is one-way"
             ));
         }
+        if (n == 1) != l.demoted() {
+            return Err(format!(
+                "pair {p}: {n} traced demotion(s) but ledger says demoted={}",
+                l.demoted()
+            ));
+        }
+    }
+    let traced_demotions: u64 = demotion_events.iter().sum();
+    if traced_demotions != r.raw.demotions {
+        return Err(format!(
+            "traced demotions {traced_demotions} disagree with aggregate {}",
+            r.raw.demotions
+        ));
     }
     Ok(())
 }
@@ -221,30 +186,21 @@ fn check_ledger(r: &RunSummary) -> Result<(), String> {
     let mut recoveries = 0;
     let mut watchdog = 0;
     let mut timeout = 0;
-    let mut repromotions = 0;
     for l in &r.raw.pair_ledgers {
         recoveries += l.recoveries;
         watchdog += l.watchdog_recoveries;
         timeout += l.timeout_recoveries;
-        repromotions += l.repromotions;
         if l.watchdog_recoveries + l.timeout_recoveries > l.recoveries {
             return Err(format!("recovery subsets exceed total: {l:?}"));
         }
-        if l.demoted() != (l.health == HealthState::Demoted) {
-            return Err(format!("mode/health disagreement: {l:?}"));
-        }
-        if l.demoted() && l.demoted_at.is_none() {
-            return Err(format!("demoted pair without a demotion cycle: {l:?}"));
-        }
-        if l.repromotions > 0 && l.demoted_at.is_none() {
-            return Err(format!("repromoted pair was never demoted: {l:?}"));
+        if l.demoted() != l.demoted_at.is_some() {
+            return Err(format!("demotion cycle disagrees with mode: {l:?}"));
         }
     }
     let raw = &r.raw;
     if recoveries != raw.recoveries
         || watchdog != raw.watchdog_recoveries
         || timeout != raw.timeout_recoveries
-        || repromotions != raw.repromotions
     {
         return Err("ledger totals disagree with aggregate counters".into());
     }
@@ -269,7 +225,6 @@ fn run_scenario(s: &Scenario, programs: &[(Program, TraceSummary)]) -> Result<Ta
         .with_sync(s.sync)
         .with_faults(s.plan.clone())
         .with_recovery(s.recovery)
-        .with_health(s.health)
         .with_trace(TraceConfig::on())
         .with_workers(workers);
     let r = run_program(program, &opts).map_err(|e| format!("run failed: {e}"))?;
@@ -282,32 +237,14 @@ fn run_scenario(s: &Scenario, programs: &[(Program, TraceSummary)]) -> Result<Ta
     check_oracle(&r, oracle)?;
     check_trace_consistency(&r)?;
     check_ledger(&r)?;
-    if s.expect_repromotion && r.raw.repromotions == 0 {
-        return Err("crafted scenario expected a successful re-promotion".into());
-    }
-    if s.expect_repromotion
-        && !r
-            .raw
-            .pair_ledgers
-            .iter()
-            .any(|l| l.repromotions > 0 && l.mode == PairMode::Slipstream)
-    {
-        return Err("re-promoted pair did not finish back in slipstream".into());
-    }
-    if s.expect_breaker_cycle && (r.raw.breaker_trips == 0 || r.raw.breaker_reclosures == 0) {
-        return Err(format!(
-            "crafted scenario expected trip + re-closure, got {} trips {} reclosures",
-            r.raw.breaker_trips, r.raw.breaker_reclosures
-        ));
+    if s.expect_timeout && r.raw.timeout_recoveries == 0 {
+        return Err("crafted scenario expected a token-wait timeout recovery".into());
     }
     Ok(Tally {
         recoveries: r.raw.recoveries,
         watchdog: r.raw.watchdog_recoveries,
         timeout: r.raw.timeout_recoveries,
         demotions: r.raw.demotions,
-        repromotions: r.raw.repromotions,
-        trips: r.raw.breaker_trips,
-        reclosures: r.raw.breaker_reclosures,
         max_cycles: r.exec_cycles,
     })
 }
@@ -319,7 +256,7 @@ fn main() {
 
     // Programs and their fault-free oracles, computed once. Index 0..5
     // are the NPB kernels (tiny class); 5 is the crafted-scenario
-    // multi-region program at team 4; 6 the same at team 2.
+    // multi-region program.
     eprintln!("soak: preparing programs and oracles…");
     let mut programs: Vec<(Program, TraceSummary)> = Benchmark::ALL
         .iter()
@@ -331,9 +268,7 @@ fn main() {
         .collect();
     let crafted = multi_region(96, 8, 6);
     let crafted_oracle = trace(&crafted, TEAM);
-    programs.push((crafted.clone(), crafted_oracle));
-    let crafted2_oracle = trace(&crafted, 2);
-    programs.push((crafted, crafted2_oracle));
+    programs.push((crafted, crafted_oracle));
 
     // Fuzz-minimized corpus: every program JSON (raw or repro artifact)
     // in `SOAK_CORPUS` joins the soak as additional scenarios under the
@@ -398,7 +333,7 @@ fn main() {
 
     // The sweep: seeded random plans over kernels × sync modes × recovery
     // budgets, all under the hardened recovery policy (every detection
-    // tier armed) and the adaptive health controller.
+    // tier armed).
     let sweep_recovery = RecoveryPolicy::hardened()
         .with_watchdog(150_000)
         .with_token_wait(120_000);
@@ -424,44 +359,11 @@ fn main() {
             sync,
             plan: FaultPlan::random(seed, TEAM, 6),
             recovery: sweep_recovery.with_max_recoveries(budget),
-            health: HealthPolicy::adaptive(),
-            expect_repromotion: false,
-            expect_breaker_cycle: false,
+            expect_timeout: false,
         });
     }
-    // Crafted: a transient wander demotes pair 1, which must serve its
-    // cool-down, pass probation, and finish healthy back in slipstream.
-    list.push(Scenario {
-        label: "crafted-repromotion".into(),
-        program_idx: 5,
-        team: TEAM,
-        sync: SlipSync::G0,
-        plan: FaultPlan::wander_at(1, 0),
-        recovery: RecoveryPolicy::paper()
-            .with_watchdog(150_000)
-            .with_max_recoveries(0),
-        health: HealthPolicy::adaptive().with_breaker(BreakerConfig::disabled()),
-        expect_repromotion: true,
-        expect_breaker_cycle: false,
-    });
-    // Crafted: on a 2-pair team one demotion is half the team — the
-    // breaker must trip, hold, half-open, and re-close once the pair
-    // heals through probation.
-    list.push(Scenario {
-        label: "crafted-breaker-cycle".into(),
-        program_idx: 6,
-        team: 2,
-        sync: SlipSync::G0,
-        plan: FaultPlan::wander_at(1, 0),
-        recovery: RecoveryPolicy::paper()
-            .with_watchdog(150_000)
-            .with_max_recoveries(0),
-        health: HealthPolicy::adaptive(),
-        expect_repromotion: true,
-        expect_breaker_cycle: true,
-    });
-    // A stall-burst heavy scenario to exercise the token-wait timeout
-    // tier with the watchdog off: timeouts, not deadlock.
+    // A lost token with the watchdog off: only the token-wait timeout
+    // can rescue the stranded A-stream (timeouts, not deadlock).
     list.push(Scenario {
         label: "crafted-timeout-only".into(),
         program_idx: 5,
@@ -474,9 +376,7 @@ fn main() {
             arg: 0,
         }),
         recovery: RecoveryPolicy::hardened().with_watchdog(0),
-        health: HealthPolicy::adaptive(),
-        expect_repromotion: false,
-        expect_breaker_cycle: false,
+        expect_timeout: true,
     });
 
     // Corpus programs: both synchronization modes, seeded fault plans,
@@ -490,9 +390,7 @@ fn main() {
                 sync,
                 plan: FaultPlan::random(seed_base + 0xC0_u64 + k as u64, TEAM, 4),
                 recovery: sweep_recovery.with_max_recoveries(8),
-                health: HealthPolicy::adaptive(),
-                expect_repromotion: false,
-                expect_breaker_cycle: false,
+                expect_timeout: false,
             });
         }
     }
@@ -517,9 +415,6 @@ fn main() {
                 total.watchdog += t.watchdog;
                 total.timeout += t.timeout;
                 total.demotions += t.demotions;
-                total.repromotions += t.repromotions;
-                total.trips += t.trips;
-                total.reclosures += t.reclosures;
                 total.max_cycles = total.max_cycles.max(t.max_cycles);
             }
             Err(e) => failures.push((s.label.clone(), e)),
@@ -528,30 +423,17 @@ fn main() {
 
     println!(
         "soak: {} scenarios, {} recoveries ({} watchdog, {} timeout), \
-         {} demotions standing, {} repromotions, breaker {} trips / {} reclosures, \
-         max cycles {}",
+         {} demotions, max cycles {}",
         list.len(),
         total.recoveries,
         total.watchdog,
         total.timeout,
         total.demotions,
-        total.repromotions,
-        total.trips,
-        total.reclosures,
         total.max_cycles
     );
 
-    // Soak-level expectations: the sweep as a whole must have exercised
-    // the closed loop, not just survived it.
-    if total.repromotions == 0 {
-        failures.push(("soak-aggregate".into(), "no re-promotion anywhere".into()));
-    }
-    if total.trips == 0 || total.reclosures == 0 {
-        failures.push((
-            "soak-aggregate".into(),
-            "no breaker trip + re-closure anywhere".into(),
-        ));
-    }
+    // Soak-level expectation: the sweep as a whole must have exercised
+    // the timeout tier, not just survived it.
     if total.timeout == 0 {
         failures.push((
             "soak-aggregate".into(),

@@ -4,7 +4,7 @@
 //! for every worker count, the simulation must produce output
 //! *bit-identical* to the serial engine — same `exec_cycles`, same
 //! stats fingerprint — across every mode, kernel, trace configuration,
-//! fault plan, health policy, and OS-noise model. `workers == 1` is the
+//! fault plan, and OS-noise model. `workers == 1` is the
 //! pre-PDES serial fast path; `workers > 1` switches to the per-CMP
 //! domain queues, conservative window formation, the scout worker pool,
 //! and closed-form replay of constant-compute loop runs. None of that
@@ -16,7 +16,7 @@ use omp_ir::{Expr, ProgramBuilder};
 use omp_rt::RuntimeEnv;
 use slipstream::faults::FaultPlan;
 use slipstream::runner::{run_program, RunOptions};
-use slipstream::{ExecMode, HealthPolicy, OsNoise, SlipSync};
+use slipstream::{ExecMode, OsNoise, SlipSync};
 
 const WORKER_SWEEP: [usize; 2] = [2, 4];
 
@@ -101,12 +101,11 @@ fn processed_event_count_ignores_tracing_and_workers() {
 }
 
 #[test]
-fn faulted_adaptive_runs_match_serial() {
+fn faulted_runs_match_serial() {
     // Divergence recovery is the one path that mutates a running
-    // A-stream from outside (reseed at the construct barrier), and the
-    // adaptive health controller plus breaker feed back into pairing —
-    // the most interleaving-sensitive machinery in the engine. Seeded
-    // fault storms must replay identically at every worker count.
+    // A-stream from outside (reseed at the construct barrier) — the most
+    // interleaving-sensitive machinery in the engine. Seeded fault
+    // storms must replay identically at every worker count.
     let machine = small_machine();
     let program = Benchmark::Mg.build_tiny();
     for seed in [1, 7, 23] {
@@ -114,8 +113,7 @@ fn faulted_adaptive_runs_match_serial() {
         let mut o = RunOptions::new(ExecMode::Slipstream)
             .with_machine(machine.clone())
             .with_sync(SlipSync::G0)
-            .with_faults(plan)
-            .with_health(HealthPolicy::adaptive());
+            .with_faults(plan);
         o.env = RuntimeEnv::default();
         let (serial, raw) = fp(&o, &program);
         for w in WORKER_SWEEP {
@@ -123,7 +121,7 @@ fn faulted_adaptive_runs_match_serial() {
             let (parallel, praw) = fp(&o, &program);
             assert_eq!(
                 serial, parallel,
-                "faulted adaptive run (seed {seed}) diverged at workers={w}"
+                "faulted run (seed {seed}) diverged at workers={w}"
             );
             assert_eq!(raw.recoveries, praw.recoveries, "seed {seed}");
             assert_eq!(raw.pair_ledgers, praw.pair_ledgers, "seed {seed}");

@@ -15,7 +15,7 @@ use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
 use slipstream::faults::FaultPlan;
 use slipstream::runner::{checkpoint_program, resume_program, run_program, RunOptions};
-use slipstream::{ExecMode, HealthPolicy, SlipSync};
+use slipstream::{ExecMode, SlipSync};
 
 fn straight(program: &omp_ir::Program, o: &RunOptions) -> (String, u64) {
     let s = run_program(program, o).expect("straight run failed");
@@ -129,8 +129,7 @@ fn fault_plan_active_at_the_boundary_restores_identically() {
         let mut o = RunOptions::new(ExecMode::Slipstream)
             .with_machine(machine.clone())
             .with_sync(SlipSync::G0)
-            .with_faults(plan)
-            .with_health(HealthPolicy::adaptive());
+            .with_faults(plan);
         o.env = RuntimeEnv::default();
         let (want, cycles) = straight(&program, &o);
         for at in [cycles / 4, cycles / 2, (3 * cycles) / 4] {
@@ -157,8 +156,7 @@ fn fault_free_warmup_forks_into_faulted_continuations() {
     let program = Benchmark::Cg.build_tiny();
     let mut base = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine.clone())
-        .with_sync(SlipSync::G0)
-        .with_health(HealthPolicy::adaptive());
+        .with_sync(SlipSync::G0);
     base.env = RuntimeEnv::default();
     let (_, cycles) = straight(&program, &base);
     let at = (cycles / 50).max(1);
@@ -213,8 +211,7 @@ fn swapping_a_fired_fault_plan_is_rejected() {
     let mut o = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine.clone())
         .with_sync(SlipSync::G0)
-        .with_faults(FaultPlan::random(1, 4, 6))
-        .with_health(HealthPolicy::adaptive());
+        .with_faults(FaultPlan::random(1, 4, 6));
     o.env = RuntimeEnv::default();
     let (_, cycles) = straight(&program, &o);
     // Late checkpoint: with 6 scheduled faults over the run, at 3/4

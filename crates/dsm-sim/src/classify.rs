@@ -174,19 +174,6 @@ impl FillCounts {
     }
 }
 
-/// Per-CMP tallies of A-issued fills, the raw material of the pair-health
-/// controller's prefetch-timeliness signal. Cumulative over the run; the
-/// consumer windows them by snapshotting at region boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ATally {
-    /// A-issued fills classified A-Timely.
-    pub timely: u64,
-    /// A-issued fills classified A-Only (pollution).
-    pub polluted: u64,
-    /// All A-issued fills classified so far.
-    pub total: u64,
-}
-
 /// Tracks live fills per (CMP, line) and classifies them when the line
 /// leaves the cache (eviction/invalidation) or the simulation ends.
 #[derive(Debug)]
@@ -194,8 +181,6 @@ pub struct Classifier {
     live: FastMap<u64, FillRecord>,
     /// Classified fill tallies.
     pub counts: FillCounts,
-    /// Per-CMP A-issued fill tallies (lazily sized).
-    a_tallies: Vec<ATally>,
     /// Trace sink for final classifications (disabled by default).
     tracer: Tracer,
 }
@@ -205,7 +190,6 @@ impl Default for Classifier {
         Classifier {
             live: FastMap::default(),
             counts: FillCounts::default(),
-            a_tallies: Vec::new(),
             tracer: Tracer::disabled(TrackDomain::Cmp),
         }
     }
@@ -290,19 +274,6 @@ impl Classifier {
             (StreamRole::Solo, _) => unreachable!("solo fills are not recorded"),
         };
         self.counts.bump(rec.kind, class);
-        if rec.issuer == StreamRole::A {
-            let cmp = (k >> 56) as usize;
-            if cmp >= self.a_tallies.len() {
-                self.a_tallies.resize(cmp + 1, ATally::default());
-            }
-            let t = &mut self.a_tallies[cmp];
-            t.total += 1;
-            match class {
-                FillClass::ATimely => t.timely += 1,
-                FillClass::AOnly => t.polluted += 1,
-                _ => {}
-            }
-        }
         if self.tracer.is_on() {
             self.tracer.record(
                 rec.complete,
@@ -329,14 +300,6 @@ impl Classifier {
     /// Number of still-live (unclassified) records.
     pub fn live_records(&self) -> usize {
         self.live.len()
-    }
-
-    /// Cumulative A-issued fill tallies for one CMP. Only fills already
-    /// classified (dropped, replaced, or finished) are counted, so
-    /// boundary snapshots lag in-flight lines — acceptable for a health
-    /// signal, which wants settled verdicts anyway.
-    pub fn a_tally(&self, cmp: CmpId) -> ATally {
-        self.a_tallies.get(cmp.0).copied().unwrap_or_default()
     }
 
     /// Append the time-normalized live-record state to a memo digest:
@@ -377,38 +340,6 @@ impl Classifier {
         }
     }
 
-    /// Append the classified tallies to a memo counter vector (fill
-    /// counts, then the per-CMP A-tallies behind a length marker — the
-    /// tally vector is lazily sized, and a length change between samples
-    /// must fail the comparison rather than misalign the deltas).
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        self.counts.memo_counters(out);
-        out.push(self.a_tallies.len() as u64);
-        for t in &self.a_tallies {
-            out.push(t.timely);
-            out.push(t.polluted);
-            out.push(t.total);
-        }
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    /// The caller guarantees the sample layouts match (same tally count).
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.counts.memo_apply(delta, idx, k);
-        // The length-marker slot differences to zero when the layouts of
-        // the two samples match (the caller already verified they do).
-        debug_assert_eq!(delta[*idx], 0, "memo tally layout drift");
-        *idx += 1;
-        for t in &mut self.a_tallies {
-            t.timely += delta[*idx] * k;
-            *idx += 1;
-            t.polluted += delta[*idx] * k;
-            *idx += 1;
-            t.total += delta[*idx] * k;
-            *idx += 1;
-        }
-    }
-
     /// Serialize the full classifier state. Live records are written
     /// sorted by key — `FastMap` iteration order is not deterministic,
     /// the snapshot must be.
@@ -431,11 +362,6 @@ impl Classifier {
                 w.u64(c);
             }
         }
-        w.seq(&self.a_tallies, |w, t| {
-            w.u64(t.timely);
-            w.u64(t.polluted);
-            w.u64(t.total);
-        });
         self.tracer.snapshot(w);
     }
 
@@ -472,13 +398,6 @@ impl Classifier {
         Ok(Classifier {
             live: live_entries.into_iter().collect(),
             counts,
-            a_tallies: r.seq(|r| {
-                Ok(ATally {
-                    timely: r.u64()?,
-                    polluted: r.u64()?,
-                    total: r.u64()?,
-                })
-            })?,
             tracer: Tracer::restore(r)?,
         })
     }
@@ -575,28 +494,6 @@ mod tests {
         cl.finish();
         assert_eq!(cl.counts.get(ReqKind::Read, FillClass::ATimely), 1);
         assert_eq!(cl.counts.get(ReqKind::Read, FillClass::AOnly), 1);
-    }
-
-    #[test]
-    fn per_cmp_a_tallies_track_timeliness_and_pollution() {
-        let mut cl = Classifier::new();
-        // CMP 0: one timely, one polluted, one late A fill.
-        cl.on_fill(CmpId(0), LineAddr(1), StreamRole::A, ReqKind::Read, 500);
-        cl.on_reference(CmpId(0), LineAddr(1), StreamRole::R, 600);
-        cl.on_fill(CmpId(0), LineAddr(2), StreamRole::A, ReqKind::Read, 500);
-        cl.on_fill(CmpId(0), LineAddr(3), StreamRole::A, ReqKind::Read, 500);
-        cl.on_reference(CmpId(0), LineAddr(3), StreamRole::R, 450);
-        // CMP 2: an R fill must not count; one polluted A fill must.
-        cl.on_fill(CmpId(2), LineAddr(1), StreamRole::R, ReqKind::Read, 500);
-        cl.on_fill(CmpId(2), LineAddr(2), StreamRole::A, ReqKind::ReadEx, 500);
-        cl.finish();
-        let t0 = cl.a_tally(CmpId(0));
-        assert_eq!((t0.timely, t0.polluted, t0.total), (1, 1, 3));
-        let t2 = cl.a_tally(CmpId(2));
-        assert_eq!((t2.timely, t2.polluted, t2.total), (0, 1, 1));
-        // Untouched CMPs read as empty.
-        assert_eq!(cl.a_tally(CmpId(1)), ATally::default());
-        assert_eq!(cl.a_tally(CmpId(9)), ATally::default());
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod util;
 
 pub use address::{layout_spans, Addr, AddressMap, ArraySpan, CmpId, CpuId, LineAddr, Space};
 pub use cache::{LineState, SetAssocCache};
-pub use classify::{ATally, Classifier, FillClass, FillCounts, ReqKind, FILL_CLASSES};
+pub use classify::{Classifier, FillClass, FillCounts, ReqKind, FILL_CLASSES};
 pub use config::{CacheConfig, MachineConfig, MemoryTimingNs};
 pub use cpu::CpuTimeline;
 pub use directory::{DataSource, DirState, Directory};

@@ -762,7 +762,7 @@ impl MemSystem {
         self.mem.memo_counters(out);
         out.push(self.l2_evictions);
         out.push(self.l2_invalidations);
-        self.classifier.memo_counters(out);
+        self.classifier.counts.memo_counters(out);
     }
 
     /// Add `k` copies of the deltas at `delta[*idx..]` (layout of
@@ -783,7 +783,7 @@ impl MemSystem {
         *idx += 1;
         self.l2_invalidations += delta[*idx] * k;
         *idx += 1;
-        self.classifier.memo_apply(delta, idx, k);
+        self.classifier.counts.memo_apply(delta, idx, k);
     }
 
     /// Serialize the mutable memory-system state. Config-derived fields

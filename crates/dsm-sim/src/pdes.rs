@@ -21,7 +21,7 @@
 //!
 //! The determinism contract is strict: a parallel run must be
 //! *bit-identical* to the serial engine — same stats, same fingerprints,
-//! for every mode, trace configuration, fault plan, and health policy.
+//! for every mode, trace configuration, and fault plan.
 //! Because this simulator applies cross-domain *state* effects (directory
 //! transactions, invalidations) synchronously at the moment the crossing
 //! event executes, the effective lookahead for shared-state mutation is

@@ -23,8 +23,8 @@ pub mod team;
 
 pub use constructs::{ConstructArena, SectionsState, SingleState};
 pub use env::RuntimeEnv;
-pub use mode::{resolve_region, ExecMode, HealthState, PairMode, RegionSlip, SlipSync};
+pub use mode::{resolve_region, ExecMode, PairMode, RegionSlip, SlipSync};
 pub use schedule::{
     resolve_schedule, static_chunks, AffinityGrab, AffinityState, DynLoopState, ResolvedSchedule,
 };
-pub use team::{BreakerConfig, BreakerState, CpuAssignment, TeamBreaker, TeamLayout};
+pub use team::{CpuAssignment, TeamLayout};

@@ -76,13 +76,9 @@ impl SlipSync {
 /// normally, while the A-stream stays in lockstep through region dispatch
 /// and the region-end barrier but skips region bodies — exactly the
 /// behaviour of a region with slipstream resolved [`RegionSlip::Off`],
-/// applied to one pair instead of the whole team. Demotion is no longer
-/// one-way: the pair-health controller (execution layer `HealthPolicy`)
-/// may re-promote a demoted pair back to [`PairMode::Slipstream`] on
-/// probation at a region boundary after a cool-down, because the A-stream
-/// is reseeded from the R-stream's architectural state at every region
-/// start and therefore needs no separate re-validation. A pair whose
-/// probation attempts are exhausted stays demoted for good.
+/// applied to one pair instead of the whole team. Demotion is one-way:
+/// a demoted pair stays [`PairMode::DegradedSingle`] for the rest of the
+/// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairMode {
     /// Healthy: the A-stream runs ahead and the pair cooperates.
@@ -104,90 +100,6 @@ impl PairMode {
     /// True once the pair has been demoted.
     pub fn is_demoted(self) -> bool {
         matches!(self, PairMode::DegradedSingle)
-    }
-}
-
-/// Health of one A–R pair as judged by the pair-health controller.
-///
-/// The controller advances this state machine at region boundaries:
-///
-/// ```text
-///   Healthy <-> Suspect -> Demoted -> Probation -> Healthy
-///                  ^                      |
-///                  +---- (any recovery) --+--> Demoted (cool-down doubles)
-/// ```
-///
-/// * **Healthy** — recoveries are rare; the pair runs full slipstream.
-/// * **Suspect** — the recovery-rate EWMA (or the prefetch-pollution
-///   signal, when enabled) crossed its threshold; still in slipstream but
-///   counted as unhealthy by the team circuit breaker.
-/// * **Demoted** — retry budget exhausted; the pair runs degraded-single
-///   while a cool-down measured in region completions elapses.
-/// * **Probation** — cool-down expired and a re-promotion attempt is in
-///   flight: back in slipstream, but one recovery re-demotes the pair and
-///   doubles the next cool-down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HealthState {
-    /// Operating normally in slipstream mode.
-    #[default]
-    Healthy,
-    /// Elevated recovery rate or polluted prefetches; under observation.
-    Suspect,
-    /// Out of retry budget; running degraded-single during cool-down.
-    Demoted,
-    /// Re-promoted on trial; one recovery sends it back to Demoted.
-    Probation,
-}
-
-/// All health states in display order.
-pub const HEALTH_STATES: [HealthState; 4] = [
-    HealthState::Healthy,
-    HealthState::Suspect,
-    HealthState::Demoted,
-    HealthState::Probation,
-];
-
-impl HealthState {
-    /// Short label for reports and traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
-            HealthState::Demoted => "demoted",
-            HealthState::Probation => "probation",
-        }
-    }
-
-    /// Stable ordinal used by counter tracks in trace exports.
-    pub fn ordinal(self) -> u32 {
-        match self {
-            HealthState::Healthy => 0,
-            HealthState::Suspect => 1,
-            HealthState::Demoted => 2,
-            HealthState::Probation => 3,
-        }
-    }
-
-    /// True for states the team circuit breaker counts against its
-    /// unhealthy-fraction threshold.
-    pub fn is_unhealthy(self) -> bool {
-        !matches!(self, HealthState::Healthy)
-    }
-
-    /// Legal controller transitions (used by the chaos-soak invariant
-    /// checker to validate emitted health-transition events).
-    pub fn can_transition_to(self, next: HealthState) -> bool {
-        use HealthState::*;
-        matches!(
-            (self, next),
-            (Healthy, Suspect)        // EWMA / pollution threshold crossed
-                | (Suspect, Healthy)  // clean regions cleared the suspicion
-                | (Healthy, Demoted)  // budget blown inside one window
-                | (Suspect, Demoted)  // budget blown while under watch
-                | (Probation, Demoted) // probation failed
-                | (Demoted, Probation) // cool-down expired, trial re-entry
-                | (Probation, Healthy) // probation served clean
-        )
     }
 }
 
@@ -408,45 +320,5 @@ mod tests {
         assert!(!PairMode::Slipstream.is_demoted());
         assert!(PairMode::DegradedSingle.is_demoted());
         assert_eq!(PairMode::DegradedSingle.label(), "degraded-single");
-    }
-
-    #[test]
-    fn health_state_labels_and_ordinals_are_stable() {
-        for (i, st) in HEALTH_STATES.iter().enumerate() {
-            assert_eq!(st.ordinal() as usize, i);
-        }
-        assert_eq!(HealthState::default(), HealthState::Healthy);
-        assert_eq!(HealthState::Probation.label(), "probation");
-        assert!(!HealthState::Healthy.is_unhealthy());
-        assert!(HealthState::Suspect.is_unhealthy());
-        assert!(HealthState::Demoted.is_unhealthy());
-        assert!(HealthState::Probation.is_unhealthy());
-    }
-
-    #[test]
-    fn health_transitions_follow_the_state_machine() {
-        use HealthState::*;
-        // Every legal edge.
-        for (a, b) in [
-            (Healthy, Suspect),
-            (Suspect, Healthy),
-            (Healthy, Demoted),
-            (Suspect, Demoted),
-            (Probation, Demoted),
-            (Demoted, Probation),
-            (Probation, Healthy),
-        ] {
-            assert!(a.can_transition_to(b), "{a:?} -> {b:?} should be legal");
-        }
-        // A demoted pair can only leave through probation, and nothing
-        // skips straight from demoted back to healthy or suspect.
-        assert!(!Demoted.can_transition_to(Healthy));
-        assert!(!Demoted.can_transition_to(Suspect));
-        assert!(!Healthy.can_transition_to(Probation));
-        assert!(!Suspect.can_transition_to(Probation));
-        // Self-loops are not transitions.
-        for st in HEALTH_STATES {
-            assert!(!st.can_transition_to(st));
-        }
     }
 }

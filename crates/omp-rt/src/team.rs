@@ -157,197 +157,6 @@ impl TeamLayout {
     }
 }
 
-/// State of the team-level circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BreakerState {
-    /// Normal operation: regions resolve slipstream as directed.
-    #[default]
-    Closed,
-    /// Tripped: every region runs with slipstream forced off until the
-    /// hold (measured in region completions) elapses.
-    Open,
-    /// Hold elapsed: the next region probes with slipstream re-enabled;
-    /// its outcome decides between re-closing and re-tripping.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Short label for reports and traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-/// Tuning knobs of the team circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Unhealthy-pair fraction, in thousandths of the team, at or above
-    /// which the breaker trips. `0` disables the breaker entirely.
-    pub trip_threshold_milli: u32,
-    /// Base number of regions the breaker stays open before half-opening.
-    pub hold_regions: u32,
-    /// Cap on the left-shift applied to `hold_regions` on consecutive
-    /// re-trips (exponential hold growth).
-    pub max_hold_shift: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            // Half the team unhealthy trips the breaker.
-            trip_threshold_milli: 500,
-            hold_regions: 2,
-            max_hold_shift: 4,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// A breaker that never trips.
-    pub fn disabled() -> Self {
-        BreakerConfig {
-            trip_threshold_milli: 0,
-            ..Self::default()
-        }
-    }
-
-    /// True when the breaker can trip at all.
-    pub fn enabled(&self) -> bool {
-        self.trip_threshold_milli > 0
-    }
-}
-
-/// Team-level circuit breaker over pair health.
-///
-/// Evaluated once per region boundary with the number of unhealthy pairs
-/// (the caller decides which health states count — the execution layer
-/// counts `Suspect` and `Demoted`, leaving `Probation` out so pairs on
-/// their recovery path do not hold the breaker open). When the unhealthy
-/// fraction reaches `trip_threshold_milli`, the breaker opens and the
-/// caller must force slipstream off for whole regions until the hold
-/// expires; the breaker then half-opens for one probe region and either
-/// re-closes or re-trips with a doubled hold.
-#[derive(Debug, Clone)]
-pub struct TeamBreaker {
-    cfg: BreakerConfig,
-    state: BreakerState,
-    /// Regions left before an open breaker half-opens.
-    hold_left: u32,
-    /// Consecutive trips without an intervening re-close (drives the
-    /// exponential hold growth).
-    consecutive_trips: u32,
-    /// Total trips over the run.
-    pub trips: u64,
-    /// Total successful re-closures (half-open probe passed).
-    pub reclosures: u64,
-}
-
-impl TeamBreaker {
-    /// New breaker in the closed state.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        TeamBreaker {
-            cfg,
-            state: BreakerState::Closed,
-            hold_left: 0,
-            consecutive_trips: 0,
-            trips: 0,
-            reclosures: 0,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// True when the caller must force slipstream off for this region.
-    pub fn forces_off(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-
-    fn over_threshold(&self, unhealthy: usize, team: usize) -> bool {
-        self.cfg.enabled()
-            && team > 0
-            && (unhealthy as u64) * 1000 >= u64::from(self.cfg.trip_threshold_milli) * team as u64
-            && unhealthy > 0
-    }
-
-    fn trip(&mut self) {
-        let shift = self.consecutive_trips.min(self.cfg.max_hold_shift);
-        self.hold_left = self.cfg.hold_regions.max(1) << shift;
-        self.consecutive_trips += 1;
-        self.trips += 1;
-        self.state = BreakerState::Open;
-    }
-
-    /// Advance the breaker at a region boundary given the unhealthy-pair
-    /// count, returning the state the upcoming region runs under.
-    pub fn on_region_boundary(&mut self, unhealthy: usize, team: usize) -> BreakerState {
-        match self.state {
-            BreakerState::Closed => {
-                if self.over_threshold(unhealthy, team) {
-                    self.trip();
-                }
-            }
-            BreakerState::Open => {
-                self.hold_left = self.hold_left.saturating_sub(1);
-                if self.hold_left == 0 {
-                    self.state = BreakerState::HalfOpen;
-                }
-            }
-            BreakerState::HalfOpen => {
-                if self.over_threshold(unhealthy, team) {
-                    // Probe failed: re-trip with a grown hold.
-                    self.trip();
-                } else {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_trips = 0;
-                    self.reclosures += 1;
-                }
-            }
-        }
-        self.state
-    }
-
-    /// Serialize the breaker's dynamic state (config is rebuilt from the
-    /// run options on restore).
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.u8(match self.state {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        });
-        w.u32(self.hold_left);
-        w.u32(self.consecutive_trips);
-        w.u64(self.trips);
-        w.u64(self.reclosures);
-    }
-
-    /// Overwrite this breaker's dynamic state from a snapshot written by
-    /// [`TeamBreaker::snapshot`] (keeping this instance's config).
-    pub fn restore_into(&mut self, r: &mut snap::Reader) -> Result<(), snap::SnapError> {
-        self.state = match r.u8()? {
-            0 => BreakerState::Closed,
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            _ => {
-                return Err(snap::SnapError::Corrupt {
-                    what: "BreakerState",
-                })
-            }
-        };
-        self.hold_left = r.u32()?;
-        self.consecutive_trips = r.u32()?;
-        self.trips = r.u64()?;
-        self.reclosures = r.u64()?;
-        Ok(())
-    }
-}
-
 /// Helper: processor `local` of a CMP under a layout (avoids needing the
 /// full MachineConfig).
 trait CmpExt {
@@ -442,73 +251,5 @@ mod tests {
         let mut c = cfg();
         c.cpus_per_cmp = 1;
         TeamLayout::new(&c, ExecMode::Slipstream);
-    }
-
-    #[test]
-    fn breaker_trips_at_threshold_and_holds() {
-        let mut b = TeamBreaker::new(BreakerConfig {
-            trip_threshold_milli: 500,
-            hold_regions: 2,
-            max_hold_shift: 4,
-        });
-        // 3 of 8 unhealthy: below half, stays closed.
-        assert_eq!(b.on_region_boundary(3, 8), BreakerState::Closed);
-        assert!(!b.forces_off());
-        // 4 of 8: exactly at the threshold, trips.
-        assert_eq!(b.on_region_boundary(4, 8), BreakerState::Open);
-        assert!(b.forces_off());
-        assert_eq!(b.trips, 1);
-        // Hold of 2 regions: one more open boundary, then half-open.
-        assert_eq!(b.on_region_boundary(0, 8), BreakerState::Open);
-        assert_eq!(b.on_region_boundary(0, 8), BreakerState::HalfOpen);
-        assert!(!b.forces_off(), "half-open probes with slipstream on");
-        // Probe sees a healthy team: re-close.
-        assert_eq!(b.on_region_boundary(0, 8), BreakerState::Closed);
-        assert_eq!(b.reclosures, 1);
-    }
-
-    #[test]
-    fn breaker_retrip_doubles_the_hold() {
-        let mut b = TeamBreaker::new(BreakerConfig {
-            trip_threshold_milli: 500,
-            hold_regions: 1,
-            max_hold_shift: 2,
-        });
-        assert_eq!(b.on_region_boundary(2, 2), BreakerState::Open);
-        assert_eq!(b.on_region_boundary(2, 2), BreakerState::HalfOpen);
-        // Probe still unhealthy: hold doubles to 2.
-        assert_eq!(b.on_region_boundary(2, 2), BreakerState::Open);
-        assert_eq!(b.trips, 2);
-        assert_eq!(b.on_region_boundary(0, 2), BreakerState::Open);
-        assert_eq!(b.on_region_boundary(0, 2), BreakerState::HalfOpen);
-        // Re-trip again: hold 4, capped by max_hold_shift at 1 << 2.
-        assert_eq!(b.on_region_boundary(2, 2), BreakerState::Open);
-        for _ in 0..3 {
-            assert_eq!(b.on_region_boundary(0, 2), BreakerState::Open);
-        }
-        assert_eq!(b.on_region_boundary(0, 2), BreakerState::HalfOpen);
-        assert_eq!(b.on_region_boundary(0, 2), BreakerState::Closed);
-        // A fresh trip after re-closing starts from the base hold again.
-        assert_eq!(b.on_region_boundary(2, 2), BreakerState::Open);
-        assert_eq!(b.on_region_boundary(0, 2), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn disabled_breaker_never_trips() {
-        let mut b = TeamBreaker::new(BreakerConfig::disabled());
-        for _ in 0..10 {
-            assert_eq!(b.on_region_boundary(8, 8), BreakerState::Closed);
-        }
-        assert_eq!(b.trips, 0);
-        assert!(!BreakerConfig::disabled().enabled());
-        assert!(BreakerConfig::default().enabled());
-    }
-
-    #[test]
-    fn breaker_ignores_empty_teams_and_zero_unhealthy() {
-        let mut b = TeamBreaker::new(BreakerConfig::default());
-        assert_eq!(b.on_region_boundary(0, 0), BreakerState::Closed);
-        assert_eq!(b.on_region_boundary(0, 4), BreakerState::Closed);
-        assert_eq!(BreakerState::HalfOpen.label(), "half-open");
     }
 }

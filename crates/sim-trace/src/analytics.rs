@@ -50,55 +50,12 @@ pub struct RecoveryEpisode {
     pub demoted: bool,
 }
 
-/// Health-state residency for one pair, derived from its
-/// health-transition events. Pairs with no transitions spent the whole
-/// run healthy and are omitted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PairHealthSummary {
-    pub pair: u32,
-    /// Cycles resident per state, indexed by the state ordinal
-    /// (0 healthy, 1 suspect, 2 demoted, 3 probation).
-    pub residency: [u64; 4],
-    /// Transition count over the run.
-    pub transitions: u64,
-    /// Demoted -> probation re-promotions granted.
-    pub repromotions: u64,
-    /// State at end of run.
-    pub final_state: &'static str,
-}
-
-impl Default for PairHealthSummary {
-    fn default() -> Self {
-        PairHealthSummary {
-            pair: 0,
-            residency: [0; 4],
-            transitions: 0,
-            repromotions: 0,
-            final_state: "healthy",
-        }
-    }
-}
-
-/// Team circuit-breaker activity over the run, derived from its
-/// transition events. `None` when no breaker event was recorded.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BreakerSummary {
-    /// Times the breaker opened (initial trips and half-open re-trips).
-    pub trips: u64,
-    /// Half-open probes that passed and re-closed the breaker.
-    pub reclosures: u64,
-    /// State at end of run.
-    pub final_state: &'static str,
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct TraceAnalytics {
     pub leads: Vec<PairLead>,
     pub slack: Vec<SlackHistogram>,
     pub timeliness: Vec<TimelinessStreak>,
     pub recoveries: Vec<RecoveryEpisode>,
-    pub health: Vec<PairHealthSummary>,
-    pub breaker: Option<BreakerSummary>,
 }
 
 const SLACK_BUCKETS: usize = 9; // counts 0..=7, last bucket = 8+
@@ -112,10 +69,6 @@ pub fn analyze(td: &TraceData) -> TraceAnalytics {
     let mut timeliness: Vec<TimelinessStreak> = Vec::new();
     let mut streak_run: Vec<u64> = Vec::new();
     let mut recoveries: Vec<RecoveryEpisode> = Vec::new();
-    let mut health: Vec<PairHealthSummary> = Vec::new();
-    // Cycle at which each pair entered its current state.
-    let mut health_since: Vec<u64> = Vec::new();
-    let mut breaker: Option<BreakerSummary> = None;
 
     fn at<T: Default + Clone>(v: &mut Vec<T>, idx: usize) -> &mut T {
         if v.len() <= idx {
@@ -199,53 +152,9 @@ pub fn analyze(td: &TraceData) -> TraceAnalytics {
                     }
                 }
             }
-            TraceEvent::Health { pair, from, to } => {
-                let p = *pair as usize;
-                let since = *at(&mut health_since, p);
-                let h = at(&mut health, p);
-                h.pair = *pair;
-                // Pairs start healthy at cycle 0; attribute the elapsed
-                // window to the state being left.
-                let ord = crate::perfetto::health_ordinal(from) as usize;
-                if ord < h.residency.len() {
-                    h.residency[ord] += e.cycle.saturating_sub(since);
-                }
-                h.transitions += 1;
-                if *to == "probation" {
-                    h.repromotions += 1;
-                }
-                h.final_state = to;
-                *at(&mut health_since, p) = e.cycle;
-            }
-            TraceEvent::Breaker { from, to, .. } => {
-                let b = breaker.get_or_insert(BreakerSummary {
-                    trips: 0,
-                    reclosures: 0,
-                    final_state: "closed",
-                });
-                if *to == "open" && *from != "open" {
-                    b.trips += 1;
-                }
-                if *from == "half-open" && *to == "closed" {
-                    b.reclosures += 1;
-                }
-                b.final_state = to;
-            }
             _ => {}
         }
     }
-
-    // Close out the final health residency window at end-of-run.
-    for (p, h) in health.iter_mut().enumerate() {
-        if h.transitions == 0 {
-            continue;
-        }
-        let ord = crate::perfetto::health_ordinal(h.final_state) as usize;
-        if ord < h.residency.len() {
-            h.residency[ord] += td.cycles.saturating_sub(health_since[p]);
-        }
-    }
-    health.retain(|h| h.transitions > 0);
 
     // Close out the cycle-weighted lead means at end-of-run.
     for (p, entry) in leads.iter_mut().enumerate() {
@@ -276,8 +185,6 @@ pub fn analyze(td: &TraceData) -> TraceAnalytics {
         slack,
         timeliness,
         recoveries,
-        health,
-        breaker,
     }
 }
 
@@ -313,29 +220,6 @@ impl TraceAnalytics {
             out.push_str(&format!(
                 "  timeliness cmp{}: {}/{} A-Timely, longest streak {}\n",
                 t.cmp, t.timely, t.classified, t.longest_timely
-            ));
-        }
-        if !self.health.is_empty() {
-            out.push_str("  health residency: pair  healthy  suspect  demoted  probation\n");
-            for h in &self.health {
-                let total: u64 = h.residency.iter().sum::<u64>().max(1);
-                out.push_str(&format!(
-                    "    pair{:<2} {:>7.1}% {:>7.1}% {:>7.1}% {:>8.1}%  ({} transitions, {} repromotions, final {})\n",
-                    h.pair,
-                    100.0 * h.residency[0] as f64 / total as f64,
-                    100.0 * h.residency[1] as f64 / total as f64,
-                    100.0 * h.residency[2] as f64 / total as f64,
-                    100.0 * h.residency[3] as f64 / total as f64,
-                    h.transitions,
-                    h.repromotions,
-                    h.final_state,
-                ));
-            }
-        }
-        if let Some(b) = &self.breaker {
-            out.push_str(&format!(
-                "  circuit breaker: {} trips, {} reclosures, final {}\n",
-                b.trips, b.reclosures, b.final_state
             ));
         }
         if !self.recoveries.is_empty() {
@@ -529,82 +413,5 @@ mod tests {
         assert_eq!(a.recoveries[0].cleared_cycle, Some(250));
         assert!(!a.recoveries[0].demoted);
         assert!(a.render().contains("150"));
-    }
-
-    #[test]
-    fn health_residency_and_breaker_counts() {
-        let mut td = TraceData {
-            cycles: 1_000,
-            ..Default::default()
-        };
-        let health = |pair, from, to| TraceEvent::Health { pair, from, to };
-        td.merge_events(vec![(
-            vec![
-                // Pair 0: healthy 0..200, demoted 200..600, probation
-                // 600..900, healthy 900..1000.
-                mk(200, 0, 0, TrackDomain::Cpu, health(0, "healthy", "demoted")),
-                mk(
-                    600,
-                    0,
-                    1,
-                    TrackDomain::Cpu,
-                    health(0, "demoted", "probation"),
-                ),
-                mk(
-                    900,
-                    0,
-                    2,
-                    TrackDomain::Cpu,
-                    health(0, "probation", "healthy"),
-                ),
-                mk(
-                    200,
-                    0,
-                    3,
-                    TrackDomain::Cpu,
-                    TraceEvent::Breaker {
-                        from: "closed",
-                        to: "open",
-                        unhealthy: 1,
-                    },
-                ),
-                mk(
-                    700,
-                    0,
-                    4,
-                    TrackDomain::Cpu,
-                    TraceEvent::Breaker {
-                        from: "open",
-                        to: "half-open",
-                        unhealthy: 0,
-                    },
-                ),
-                mk(
-                    800,
-                    0,
-                    5,
-                    TrackDomain::Cpu,
-                    TraceEvent::Breaker {
-                        from: "half-open",
-                        to: "closed",
-                        unhealthy: 0,
-                    },
-                ),
-            ],
-            0,
-        )]);
-        let a = analyze(&td);
-        assert_eq!(a.health.len(), 1);
-        let h = &a.health[0];
-        assert_eq!(h.residency, [300, 0, 400, 300]);
-        assert_eq!(h.transitions, 3);
-        assert_eq!(h.repromotions, 1);
-        assert_eq!(h.final_state, "healthy");
-        let b = a.breaker.as_ref().unwrap();
-        assert_eq!((b.trips, b.reclosures), (1, 1));
-        assert_eq!(b.final_state, "closed");
-        let r = a.render();
-        assert!(r.contains("health residency"), "{r}");
-        assert!(r.contains("circuit breaker: 1 trips, 1 reclosures"), "{r}");
     }
 }

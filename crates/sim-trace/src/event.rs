@@ -92,22 +92,6 @@ pub enum TraceEvent {
     },
     /// `pair` was demoted to single-stream mode after exhausting retries.
     Demotion { pair: u32 },
-    /// `pair`'s health-controller state changed. Labels are the
-    /// `HealthState` labels (`"healthy"`, `"suspect"`, `"demoted"`,
-    /// `"probation"`).
-    Health {
-        pair: u32,
-        from: &'static str,
-        to: &'static str,
-    },
-    /// The team circuit breaker changed state at a region boundary
-    /// (`"closed"`, `"open"`, `"half-open"`); `unhealthy` is the pair
-    /// count that drove the decision.
-    Breaker {
-        from: &'static str,
-        to: &'static str,
-        unhealthy: u32,
-    },
     /// A–R lead distance sample for `pair` (A epoch minus R epoch),
     /// recorded whenever either side crosses an epoch boundary.
     Lead { pair: u32, lead: i64 },
@@ -131,8 +115,6 @@ impl TraceEvent {
             TraceEvent::Fault { .. } => "fault",
             TraceEvent::Recovery { .. } => "recovery",
             TraceEvent::Demotion { .. } => "demotion",
-            TraceEvent::Health { .. } => "health",
-            TraceEvent::Breaker { .. } => "breaker",
             TraceEvent::Lead { .. } => "lead",
         }
     }
@@ -309,24 +291,8 @@ impl TraceEvent {
                 w.u8(11);
                 w.u32(*pair);
             }
-            TraceEvent::Health { pair, from, to } => {
-                w.u8(12);
-                w.u32(*pair);
-                w.str(from);
-                w.str(to);
-            }
-            TraceEvent::Breaker {
-                from,
-                to,
-                unhealthy,
-            } => {
-                w.u8(13);
-                w.str(from);
-                w.str(to);
-                w.u32(*unhealthy);
-            }
             TraceEvent::Lead { pair, lead } => {
-                w.u8(14);
+                w.u8(12);
                 w.u32(*pair);
                 w.i64(*lead);
             }
@@ -395,17 +361,7 @@ impl TraceEvent {
                 timeout: r.bool()?,
             },
             11 => TraceEvent::Demotion { pair: r.u32()? },
-            12 => TraceEvent::Health {
-                pair: r.u32()?,
-                from: label(r)?,
-                to: label(r)?,
-            },
-            13 => TraceEvent::Breaker {
-                from: label(r)?,
-                to: label(r)?,
-                unhealthy: r.u32()?,
-            },
-            14 => TraceEvent::Lead {
+            12 => TraceEvent::Lead {
                 pair: r.u32()?,
                 lead: r.i64()?,
             },

@@ -33,8 +33,7 @@ pub mod ring;
 pub mod tracer;
 
 pub use analytics::{
-    analyze, BreakerSummary, PairHealthSummary, PairLead, RecoveryEpisode, SlackHistogram,
-    TimelinessStreak, TraceAnalytics,
+    analyze, PairLead, RecoveryEpisode, SlackHistogram, TimelinessStreak, TraceAnalytics,
 };
 pub use event::{Span, TimedEvent, TraceEvent, TrackDomain};
 pub use perfetto::{chrome_trace_json, validate_chrome_trace, ValidationReport};

@@ -9,9 +9,7 @@
 //! * pid 1 — "memory (shared L2)": one thread per CMP node; fill and
 //!   fill-classification instants.
 //! * pid 2 — "slipstream pairs": "C" counter tracks, one `pair<N> lead`
-//!   counter per A–R pair plus `pair<N> tokens` semaphore occupancy and a
-//!   `pair<N> health` counter stepping through the health-state ordinals
-//!   (0 healthy, 1 suspect, 2 demoted, 3 probation).
+//!   counter per A–R pair plus `pair<N> tokens` semaphore occupancy.
 //!
 //! Timestamps are simulated cycles reported in the `ts` microsecond field
 //! (1 cycle == 1 "µs"); wall time has no meaning inside the simulator, so
@@ -89,18 +87,6 @@ pub fn chrome_trace_json(td: &TraceData) -> String {
                 out.push_str(&format!(
                     "{{\"name\":\"pair{pair} tokens\",\"ph\":\"C\",\"pid\":{PID_PAIRS},\"tid\":0,\"ts\":{},\"args\":{{\"tokens\":{count}}}}}",
                     e.cycle
-                ));
-            }
-            TraceEvent::Health { pair, to, .. } => {
-                // The instant on the CPU track...
-                sep(&mut out, &mut first);
-                instant(&mut out, e.ev.name(), pid, tid, e.cycle, &args_for(&e.ev));
-                // ...plus the health-state counter track sample.
-                sep(&mut out, &mut first);
-                out.push_str(&format!(
-                    "{{\"name\":\"pair{pair} health\",\"ph\":\"C\",\"pid\":{PID_PAIRS},\"tid\":0,\"ts\":{},\"args\":{{\"state\":{}}}}}",
-                    e.cycle,
-                    health_ordinal(to)
                 ));
             }
             ev => {
@@ -218,34 +204,7 @@ fn args_for(ev: &TraceEvent) -> String {
             format!("\"pair\":{pair},\"watchdog\":{watchdog},\"timeout\":{timeout}")
         }
         TraceEvent::Demotion { pair } => format!("\"pair\":{pair}"),
-        TraceEvent::Health { pair, from, to } => format!(
-            "\"pair\":{pair},\"from\":{},\"to\":{}",
-            quote(from),
-            quote(to)
-        ),
-        TraceEvent::Breaker {
-            from,
-            to,
-            unhealthy,
-        } => format!(
-            "\"from\":{},\"to\":{},\"unhealthy\":{unhealthy}",
-            quote(from),
-            quote(to)
-        ),
         TraceEvent::Lead { pair, lead } => format!("\"pair\":{pair},\"lead\":{lead}"),
-    }
-}
-
-/// Health-state label -> stable counter ordinal (mirrors
-/// `omp_rt::mode::HealthState::ordinal`, which this crate cannot see —
-/// it sits below `omp-rt` in the dependency graph).
-pub(crate) fn health_ordinal(label: &str) -> u32 {
-    match label {
-        "healthy" => 0,
-        "suspect" => 1,
-        "demoted" => 2,
-        "probation" => 3,
-        _ => u32::MAX,
     }
 }
 
@@ -278,7 +237,6 @@ pub struct ValidationReport {
     pub cpu_threads_named: usize,
     pub token_events: usize,
     pub lead_counter_tracks: usize,
-    pub health_counter_tracks: usize,
 }
 
 /// Parse `src` and verify it is well-formed Chrome trace-event JSON with
@@ -296,7 +254,6 @@ pub fn validate_chrome_trace(src: &str) -> Result<ValidationReport, String> {
         ..Default::default()
     };
     let mut lead_tracks: Vec<String> = Vec::new();
-    let mut health_tracks: Vec<String> = Vec::new();
     for (i, e) in events.iter().enumerate() {
         let ctx = |f: &str| format!("event {i}: {f}");
         let name = e
@@ -348,15 +305,11 @@ pub fn validate_chrome_trace(src: &str) -> Result<ValidationReport, String> {
                 if name.ends_with(" lead") && !lead_tracks.iter().any(|n| n == name) {
                     lead_tracks.push(name.to_string());
                 }
-                if name.ends_with(" health") && !health_tracks.iter().any(|n| n == name) {
-                    health_tracks.push(name.to_string());
-                }
             }
             other => return Err(ctx(&format!("unknown ph {other:?}"))),
         }
     }
     rep.lead_counter_tracks = lead_tracks.len();
-    rep.health_counter_tracks = health_tracks.len();
     Ok(rep)
 }
 
@@ -439,28 +392,6 @@ mod tests {
                         complete: 25,
                     },
                 ),
-                mk(
-                    40,
-                    TrackDomain::Cpu,
-                    0,
-                    4,
-                    TraceEvent::Health {
-                        pair: 0,
-                        from: "healthy",
-                        to: "suspect",
-                    },
-                ),
-                mk(
-                    50,
-                    TrackDomain::Cpu,
-                    0,
-                    5,
-                    TraceEvent::Breaker {
-                        from: "closed",
-                        to: "open",
-                        unhealthy: 1,
-                    },
-                ),
             ],
             0,
         )]);
@@ -474,28 +405,12 @@ mod tests {
         let rep = validate_chrome_trace(&out).expect("valid trace");
         assert_eq!(rep.cpu_threads_named, 2);
         assert_eq!(rep.slice_events, 3);
-        // 1 lead counter + 2 token counters + 1 health counter.
-        assert_eq!(rep.counter_events, 4);
+        // 1 lead counter + 2 token counters.
+        assert_eq!(rep.counter_events, 3);
         assert_eq!(rep.lead_counter_tracks, 1);
-        assert_eq!(rep.health_counter_tracks, 1);
         assert_eq!(rep.token_events, 2);
-        // instants: token-insert, token-consume, fill-class, health,
-        // breaker.
-        assert_eq!(rep.instant_events, 5);
-    }
-
-    #[test]
-    fn health_counter_uses_stable_ordinals() {
-        let td = sample_trace();
-        let out = chrome_trace_json(&td);
-        assert!(
-            out.contains("\"name\":\"pair0 health\",\"ph\":\"C\""),
-            "{out}"
-        );
-        assert!(out.contains("\"args\":{\"state\":1}"), "{out}");
-        assert_eq!(health_ordinal("healthy"), 0);
-        assert_eq!(health_ordinal("probation"), 3);
-        assert_eq!(health_ordinal("garbage"), u32::MAX);
+        // instants: token-insert, token-consume, fill-class.
+        assert_eq!(rep.instant_events, 3);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 use crate::compile::{CompiledProgram, FNode, NodeId, Op};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, PairLedger};
-use crate::health::{FillWindow, HealthPolicy};
 use crate::memo::{MemoDiag, MemoPlan};
 use crate::pairing::{Decision, PairState};
 use crate::policy::{AAction, AStreamPolicy, RecoveryPolicy};
@@ -37,9 +36,9 @@ use omp_ir::node::{ArrayId, Reduction, ReductionOp, SlipSyncType, SlipstreamClau
 use omp_ir::trace::OpCounts;
 use omp_ir::wsloop::Chunk;
 use omp_rt::constructs::ConstructArena;
-use omp_rt::mode::{resolve_region, ExecMode, HealthState, PairMode, RegionSlip, SlipSync};
+use omp_rt::mode::{resolve_region, ExecMode, PairMode, RegionSlip, SlipSync};
 use omp_rt::schedule::{resolve_schedule, static_chunks, ResolvedSchedule};
-use omp_rt::team::{CpuAssignment, TeamBreaker, TeamLayout};
+use omp_rt::team::{CpuAssignment, TeamLayout};
 use omp_rt::RuntimeEnv;
 use sim_trace::{TraceConfig, TraceData, TraceEvent, Tracer, TrackDomain};
 
@@ -146,9 +145,6 @@ pub struct EngineConfig {
     /// Divergence detection and recovery knobs (watchdog, retry budget,
     /// restart cost, token slack).
     pub recovery: RecoveryPolicy,
-    /// Adaptive pair-health controller and team circuit breaker
-    /// ([`HealthPolicy::paper`] keeps both inert).
-    pub health: HealthPolicy,
     /// Fault-injection plan fired at the engine's hook points.
     pub faults: FaultPlan,
     /// Legacy fault injection: `(tid, epoch)` pairs at which the A-stream
@@ -201,7 +197,6 @@ impl EngineConfig {
             io_fixed_cycles: 2000,
             io_cycles_per_8_bytes: 1,
             recovery: RecoveryPolicy::paper(),
-            health: HealthPolicy::paper(),
             faults: FaultPlan::none(),
             inject_divergence: Vec::new(),
             os_noise: None,
@@ -290,17 +285,8 @@ pub struct RunResult {
     /// `recoveries`).
     pub timeout_recoveries: u64,
     /// Pairs demoted to single-stream mode after exhausting the recovery
-    /// budget (and still demoted at the end of the run).
+    /// budget.
     pub demotions: u64,
-    /// Probationary re-promotions granted by the health controller.
-    pub repromotions: u64,
-    /// Team circuit-breaker trips over the run.
-    pub breaker_trips: u64,
-    /// Breaker half-open probes that passed and re-closed it.
-    pub breaker_reclosures: u64,
-    /// Completed regions spent in each health state, summed over pairs
-    /// (indexed by [`HealthState::ordinal`]).
-    pub health_residency: [u64; 4],
     /// Per-pair resilience ledger (empty outside slipstream mode).
     pub pair_ledgers: Vec<PairLedger>,
     /// A-stream shared stores converted to read-exclusive prefetches.
@@ -641,11 +627,7 @@ pub struct Engine<'p> {
     sched_steals_total: u64,
     /// One flag per `cfg.faults` event: fired yet?
     fault_fired: Vec<bool>,
-    /// Team circuit breaker, advanced once per region boundary.
-    breaker: TeamBreaker,
-    /// Parallel regions dispatched so far (the health controller ticks at
-    /// the boundary *before* each dispatch after the first, and once more
-    /// at the end of the run).
+    /// Parallel regions dispatched so far (part of the memo digest).
     regions_dispatched: u64,
     /// CPU-domain event tracer (disabled unless `cfg.trace` is on).
     tracer: Tracer,
@@ -906,7 +888,6 @@ impl<'p> Engine<'p> {
             sched_grabs_total: 0,
             sched_steals_total: 0,
             fault_fired,
-            breaker: TeamBreaker::new(cfg.health.breaker),
             regions_dispatched: 0,
             tracer: Tracer::new(&cfg.trace, TrackDomain::Cpu),
             lookahead,
@@ -2128,7 +2109,6 @@ impl<'p> Engine<'p> {
         let _ = self.pairs[p].tokens.force_reset(sync.tokens);
         self.pairs[p].diverged = false;
         self.pairs[p].recoveries += 1;
-        self.pairs[p].episode_recoveries += 1;
         if watchdog {
             self.pairs[p].watchdog_recoveries += 1;
             self.cpus[ai].timeline.stats.watchdog_recoveries += 1;
@@ -2152,12 +2132,8 @@ impl<'p> Engine<'p> {
                 },
             );
         }
-        // The retry budget bounds the current health episode (reset on
-        // re-promotion, so a probationary pair starts with a fresh
-        // budget); any recovery *on* probation fails the trial outright.
         if !self.pairs[p].demoted()
-            && (self.pairs[p].episode_recoveries > self.cfg.recovery.max_recoveries_per_pair
-                || self.pairs[p].health.state == HealthState::Probation)
+            && self.pairs[p].recoveries > self.cfg.recovery.max_recoveries_per_pair
         {
             // Retrying is judged futile: degrade gracefully instead.
             self.demote_pair(ci, p, now);
@@ -2196,12 +2172,10 @@ impl<'p> Engine<'p> {
         self.pairs[p].mode = PairMode::DegradedSingle;
         self.pairs[p].demoted_at = Some(now);
         self.cpus[ai].timeline.stats.demotions = 1;
-        let from = self.pairs[p].health.on_demote(&self.cfg.health);
         if self.tracer.is_on() {
             self.tracer
                 .record(now, ai as u32, TraceEvent::Demotion { pair: p as u32 });
         }
-        self.trace_health(ai, p, from, HealthState::Demoted, now);
         // The A-stream's remaining obligation is the region-end barrier.
         // Rebuild its continuation as R's enclosing region-end protocol
         // with the body dropped; a worker A outside any region frame just
@@ -2309,22 +2283,6 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Trace a health-controller transition on `ci`'s track.
-    fn trace_health(&mut self, ci: usize, p: usize, from: HealthState, to: HealthState, t: Cycle) {
-        if !self.tracer.is_on() || from == to {
-            return;
-        }
-        self.tracer.record(
-            t,
-            ci as u32,
-            TraceEvent::Health {
-                pair: p as u32,
-                from: from.label(),
-                to: to.label(),
-            },
-        );
-    }
-
     /// Arm the token-wait timeout for A-stream `ci`, just parked on pair
     /// `p`'s token or scheduling semaphore. The deadline backs off
     /// exponentially with the region's consecutive timeout count. One
@@ -2379,67 +2337,6 @@ impl<'p> Engine<'p> {
                 stage: 0,
             };
             self.reseed_astream(ri, p, frames, false, t);
-        }
-    }
-
-    /// Re-promote a demoted pair back into slipstream on probation: the
-    /// retry budget refreshes and the pair runs the upcoming region as a
-    /// full A–R pair again. Called at the region boundary, before the
-    /// region's `start_region`/dispatch, so the A-stream (idling in the
-    /// pool or shadowing serial code) simply takes the next job with the
-    /// body re-enabled.
-    fn repromote_pair(&mut self, p: usize) {
-        self.pairs[p].mode = PairMode::Slipstream;
-        self.pairs[p].diverged = false;
-        self.pairs[p].episode_recoveries = 0;
-        self.pairs[p].wait_timeouts = 0;
-        self.pairs[p].timeout_pending = false;
-    }
-
-    /// Advance the pair-health controller and the team breaker by one
-    /// region boundary: tick every pair's state machine on its recovery
-    /// and fill-classifier deltas, execute re-promotions, then let the
-    /// breaker decide whether the upcoming region may run slipstream.
-    /// Pure bookkeeping — no simulated cycles are charged, and under
-    /// [`HealthPolicy::paper`] no state ever changes.
-    fn health_region_tick(&mut self, ci: usize, now: Cycle) {
-        for p in 0..self.pairs.len() {
-            let recoveries = self.pairs[p].recoveries;
-            let cmp = CmpId(self.pairs[p].tid as usize);
-            let tally = self.ms.classifier.a_tally(cmp);
-            let fills = FillWindow {
-                polluted: tally.polluted,
-                total: tally.total,
-            };
-            let out = self.pairs[p]
-                .health
-                .on_region_boundary(&self.cfg.health, recoveries, fills);
-            if out.repromote {
-                self.repromote_pair(p);
-            }
-            if let Some((from, to)) = out.transition {
-                let ai = self.pairs[p].a_cpu.0;
-                self.trace_health(ai, p, from, to, now);
-            }
-        }
-        let unhealthy = self
-            .pairs
-            .iter()
-            .filter(|p| p.health.counts_as_unhealthy())
-            .count();
-        let team = self.pairs.len();
-        let before = self.breaker.state();
-        let after = self.breaker.on_region_boundary(unhealthy, team);
-        if after != before && self.tracer.is_on() {
-            self.tracer.record(
-                now,
-                ci as u32,
-                TraceEvent::Breaker {
-                    from: before.label(),
-                    to: after.label(),
-                    unhealthy: unhealthy as u32,
-                },
-            );
         }
     }
 
@@ -3259,18 +3156,8 @@ impl<'p> Engine<'p> {
         }
 
         debug_assert_eq!(stage, 0);
-        // Every region boundary after the first region advances the
-        // pair-health controller and the team breaker on the region that
-        // just completed (the last region's boundary runs in `finish`).
-        if self.cfg.mode == ExecMode::Slipstream && self.regions_dispatched > 0 {
-            let now = self.cpus[ci].timeline.now();
-            self.health_region_tick(ci, now);
-        }
         self.regions_dispatched += 1;
         let resolved = if self.cfg.mode != ExecMode::Slipstream {
-            RegionSlip::Off
-        } else if self.breaker.forces_off() {
-            // Breaker open: the whole region runs without slipstream.
             RegionSlip::Off
         } else {
             resolve_region(clause, self.global_slip, self.cfg.env.slipstream)
@@ -3649,11 +3536,6 @@ impl<'p> Engine<'p> {
     fn finish(mut self) -> RunResult {
         let master_ci = self.layout.master_cpu().0;
         let end = self.cpus[master_ci].timeline.now();
-        // Close out the last region's health boundary so residency covers
-        // every completed region (runs before the tracer drains below).
-        if self.cfg.mode == ExecMode::Slipstream && self.regions_dispatched > 0 {
-            self.health_region_tick(master_ci, end);
-        }
         // Attribute the tail of every stream's timeline up to program end.
         for c in self.cpus.iter_mut() {
             if c.assign == CpuAssignment::Idle {
@@ -3727,25 +3609,16 @@ impl<'p> Engine<'p> {
         let recoveries = self.pairs.iter().map(|p| p.recoveries).sum();
         let watchdog_recoveries = self.pairs.iter().map(|p| p.watchdog_recoveries).sum();
         let timeout_recoveries = self.pairs.iter().map(|p| p.timeout_recoveries).sum();
-        let repromotions = self.pairs.iter().map(|p| p.health.repromotions).sum();
-        let mut health_residency = [0u64; 4];
-        for p in &self.pairs {
-            for (acc, r) in health_residency.iter_mut().zip(p.health.residency.iter()) {
-                *acc += r;
-            }
-        }
         let pair_ledgers: Vec<PairLedger> = self
             .pairs
             .iter()
             .map(|p| PairLedger {
                 tid: p.tid,
                 mode: p.mode,
-                health: p.health.state,
                 faults_injected: p.faults_injected,
                 recoveries: p.recoveries,
                 watchdog_recoveries: p.watchdog_recoveries,
                 timeout_recoveries: p.timeout_recoveries,
-                repromotions: p.health.repromotions,
                 demoted_at: p.demoted_at,
             })
             .collect();
@@ -3766,10 +3639,6 @@ impl<'p> Engine<'p> {
             watchdog_recoveries,
             timeout_recoveries,
             demotions,
-            repromotions,
-            breaker_trips: self.breaker.trips,
-            breaker_reclosures: self.breaker.reclosures,
-            health_residency,
             pair_ledgers,
             stores_converted,
             stores_skipped,
@@ -4147,7 +4016,7 @@ impl<'p> Engine<'p> {
 
 /// Version of the engine snapshot payload format. Bumped on any change
 /// to the serialized layout; [`Engine::restore`] rejects other versions.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 fn snap_expr(w: &mut snap::Writer, e: &Expr) {
     match e {
@@ -4608,7 +4477,7 @@ impl<'p> Engine<'p> {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
             self.cp,
             c.machine,
             c.mode,
@@ -4619,7 +4488,6 @@ impl<'p> Engine<'p> {
             c.io_fixed_cycles,
             c.io_cycles_per_8_bytes,
             c.recovery,
-            c.health,
             c.os_noise,
             c.trace,
             c.mutation,
@@ -4684,7 +4552,6 @@ impl<'p> Engine<'p> {
         w.u64(self.events);
         w.u64(self.sched_grabs_total);
         w.u64(self.sched_steals_total);
-        self.breaker.snapshot(&mut w);
         w.u64(self.regions_dispatched);
         self.tracer.snapshot(&mut w);
         // PDES diagnostics: counters only (workers/lookahead re-derive
@@ -4802,7 +4669,6 @@ impl<'p> Engine<'p> {
         self.events = r.u64()?;
         self.sched_grabs_total = r.u64()?;
         self.sched_steals_total = r.u64()?;
-        self.breaker.restore_into(r)?;
         self.regions_dispatched = r.u64()?;
         self.tracer = Tracer::restore(r)?;
         self.pdes.windows = r.u64()?;

@@ -18,7 +18,7 @@
 //! failing seed replays exactly.
 
 use dsm_sim::SplitMix64;
-use omp_rt::mode::{HealthState, PairMode};
+use omp_rt::mode::PairMode;
 
 /// The kinds of fault the engine knows how to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,8 +220,6 @@ pub struct PairLedger {
     /// Final operating mode (demoted pairs end in
     /// [`PairMode::DegradedSingle`]).
     pub mode: PairMode,
-    /// Final health-controller state of the pair.
-    pub health: HealthState,
     /// Faults the plan actually fired against this pair.
     pub faults_injected: u64,
     /// Divergence recoveries performed (all causes).
@@ -230,17 +228,14 @@ pub struct PairLedger {
     pub watchdog_recoveries: u64,
     /// Subset of `recoveries` triggered by the token-wait timeout.
     pub timeout_recoveries: u64,
-    /// Times the health controller re-promoted the pair from demoted to
-    /// probation.
-    pub repromotions: u64,
-    /// Simulated cycle of the pair's most recent demotion, if any.
+    /// Simulated cycle of the pair's demotion, if any. Demotion is
+    /// one-way, so this is `Some` exactly when [`PairLedger::demoted`]
+    /// holds.
     pub demoted_at: Option<u64>,
 }
 
 impl PairLedger {
-    /// True while the pair is demoted (its *final* state; a pair that was
-    /// demoted and successfully re-promoted reports `false` here but a
-    /// `Some` in [`PairLedger::demoted_at`]).
+    /// True when the pair was demoted to single-stream mode.
     pub fn demoted(&self) -> bool {
         self.mode.is_demoted()
     }

@@ -27,7 +27,6 @@ pub mod compile;
 pub mod exec;
 pub mod faults;
 pub mod gate;
-pub mod health;
 pub mod memo;
 pub mod pairing;
 pub mod policy;
@@ -39,7 +38,6 @@ pub use exec::{
     Engine, EngineConfig, EngineMutation, OsNoise, PdesDiag, RunResult, SNAPSHOT_VERSION,
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, PairLedger};
-pub use health::{BoundaryOutcome, FillWindow, HealthPolicy, PairHealth};
 pub use memo::{build_plan, MemoDiag, MemoLoop, MemoPlan};
 pub use pairing::{Decision, PairState};
 pub use policy::{AAction, AStreamPolicy, RecoveryPolicy};
@@ -57,9 +55,7 @@ pub use omp_analyze::{AnalysisReport, Finding, GateMode, Hazard, Severity};
 // Re-export the pieces users need to drive a simulation end-to-end.
 pub use dsm_sim::{FillClass, FillCounts, MachineConfig, ReqKind, StreamRole, TimeClass};
 pub use omp_ir::{Program, ProgramBuilder};
-pub use omp_rt::{
-    BreakerConfig, BreakerState, ExecMode, HealthState, PairMode, RuntimeEnv, SlipSync, TeamBreaker,
-};
+pub use omp_rt::{ExecMode, PairMode, RuntimeEnv, SlipSync};
 pub use sim_trace::{
     analyze, chrome_trace_json, validate_chrome_trace, TraceAnalytics, TraceConfig, TraceData,
     TraceEvent,

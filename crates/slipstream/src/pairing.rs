@@ -17,7 +17,6 @@
 //!   exhausts its recovery budget is demoted to single-stream mode
 //!   ([`PairMode::DegradedSingle`]) for the rest of the run.
 
-use crate::health::PairHealth;
 use dsm_sim::{Addr, CpuId, Semaphore};
 use omp_ir::wsloop::Chunk;
 use omp_rt::mode::{PairMode, SlipSync};
@@ -115,12 +114,9 @@ pub struct PairState {
     pub a_epoch: u64,
     /// The A-stream has diverged and stopped making useful progress.
     pub diverged: bool,
-    /// Number of recoveries performed on this pair, over the whole run.
+    /// Number of recoveries performed on this pair, over the whole run;
+    /// the retry budget bounds it.
     pub recoveries: u64,
-    /// Recoveries in the current health episode (reset when the health
-    /// controller re-promotes the pair); this, not the lifetime total, is
-    /// what the retry budget bounds.
-    pub episode_recoveries: u64,
     /// Subset of `recoveries` forced by the barrier watchdog.
     pub watchdog_recoveries: u64,
     /// Subset of `recoveries` triggered by the token-wait timeout.
@@ -134,12 +130,9 @@ pub struct PairState {
     /// Faults the injection framework fired against this pair.
     pub faults_injected: u64,
     /// Operating mode; demotion to [`PairMode::DegradedSingle`] is
-    /// reversed only by the health controller's probationary
-    /// re-promotion.
+    /// one-way.
     pub mode: PairMode,
-    /// Health-controller state for the pair.
-    pub health: PairHealth,
-    /// Simulated cycle of the most recent demotion, if any.
+    /// Simulated cycle of the pair's demotion, if any.
     pub demoted_at: Option<u64>,
     /// Running count of token insertions by the R-stream, across the whole
     /// run (fault-hook sequence key; wraps).
@@ -173,14 +166,12 @@ impl PairState {
             a_epoch: 0,
             diverged: false,
             recoveries: 0,
-            episode_recoveries: 0,
             watchdog_recoveries: 0,
             timeout_recoveries: 0,
             wait_timeouts: 0,
             timeout_pending: false,
             faults_injected: 0,
             mode: PairMode::Slipstream,
-            health: PairHealth::new(),
             demoted_at: None,
             token_seq: 0,
             publish_seq: 0,
@@ -272,14 +263,12 @@ impl PairState {
         w.u64(self.a_epoch);
         w.bool(self.diverged);
         w.u64(self.recoveries);
-        w.u64(self.episode_recoveries);
         w.u64(self.watchdog_recoveries);
         w.u64(self.timeout_recoveries);
         w.u32(self.wait_timeouts);
         w.bool(self.timeout_pending);
         w.u64(self.faults_injected);
         w.bool(self.mode.is_demoted());
-        self.health.snapshot(w);
         w.opt(&self.demoted_at, |w, &c| w.u64(c));
         w.u64(self.token_seq);
         w.u64(self.publish_seq);
@@ -299,7 +288,6 @@ impl PairState {
         self.a_epoch = r.u64()?;
         self.diverged = r.bool()?;
         self.recoveries = r.u64()?;
-        self.episode_recoveries = r.u64()?;
         self.watchdog_recoveries = r.u64()?;
         self.timeout_recoveries = r.u64()?;
         self.wait_timeouts = r.u32()?;
@@ -310,7 +298,6 @@ impl PairState {
         } else {
             PairMode::Slipstream
         };
-        self.health = PairHealth::restore(r)?;
         self.demoted_at = r.opt(|r| r.u64())?;
         self.token_seq = r.u64()?;
         self.publish_seq = r.u64()?;

@@ -108,11 +108,9 @@ impl Default for AStreamPolicy {
 /// of any stuck A-stream rather than deadlocking (lost tokens or lost
 /// scheduling signals can strand an A-stream where no slack ever
 /// accumulates). Recovery is **bounded**: once a pair has recovered more
-/// than `max_recoveries_per_pair` times within one health episode,
-/// retrying is judged futile and the pair is demoted to single-stream
-/// mode ([`omp_rt::mode::PairMode::DegradedSingle`]); whether demotion is
-/// final or probationary is the health controller's call (see
-/// `HealthPolicy`).
+/// than `max_recoveries_per_pair` times, retrying is judged futile and the
+/// pair is demoted to single-stream mode
+/// ([`omp_rt::mode::PairMode::DegradedSingle`]) for the rest of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Cycles charged to re-seed an A-stream from its R-stream

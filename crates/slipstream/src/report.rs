@@ -76,34 +76,23 @@ pub fn coverage_line(r: &RunSummary) -> String {
 }
 
 /// Render the per-pair resilience ledger of a run: faults fired,
-/// recoveries performed (watchdog- and timeout-forced subsets), the
-/// health-controller state, re-promotions granted, and the pair's final
-/// operating mode. Pairs demoted to single-stream mode show the cycle of
-/// their most recent demotion.
+/// recoveries performed (watchdog- and timeout-forced subsets), and the
+/// pair's final operating mode. Pairs demoted to single-stream mode show
+/// the cycle of their demotion.
 pub fn resilience_table(r: &RunResult) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "{:<6} {:>8} {:>12} {:>10} {:>9} {:<10} {:>7} {:<16} {:>12}\n",
-        "pair",
-        "faults",
-        "recoveries",
-        "watchdog",
-        "timeout",
-        "health",
-        "reprom",
-        "mode",
-        "demoted@"
+        "{:<6} {:>8} {:>12} {:>10} {:>9} {:<16} {:>12}\n",
+        "pair", "faults", "recoveries", "watchdog", "timeout", "mode", "demoted@"
     ));
     for l in &r.pair_ledgers {
         s.push_str(&format!(
-            "{:<6} {:>8} {:>12} {:>10} {:>9} {:<10} {:>7} {:<16} {:>12}\n",
+            "{:<6} {:>8} {:>12} {:>10} {:>9} {:<16} {:>12}\n",
             l.tid,
             l.faults_injected,
             l.recoveries,
             l.watchdog_recoveries,
             l.timeout_recoveries,
-            l.health.label(),
-            l.repromotions,
             l.mode.label(),
             l.demoted_at
                 .map(|c| c.to_string())
@@ -111,7 +100,7 @@ pub fn resilience_table(r: &RunResult) -> String {
         ));
     }
     s.push_str(&format!(
-        "total: {} faults, {} recoveries ({} watchdog, {} timeout), {} demotions, {} repromotions\n",
+        "total: {} faults, {} recoveries ({} watchdog, {} timeout), {} demotions\n",
         r.pair_ledgers
             .iter()
             .map(|l| l.faults_injected)
@@ -120,27 +109,7 @@ pub fn resilience_table(r: &RunResult) -> String {
         r.watchdog_recoveries,
         r.timeout_recoveries,
         r.demotions,
-        r.repromotions,
     ));
-    let region_total: u64 = r.health_residency.iter().sum();
-    if region_total > 0 {
-        use omp_rt::mode::HEALTH_STATES;
-        s.push_str("health residency (pair-regions):");
-        for st in HEALTH_STATES {
-            s.push_str(&format!(
-                " {} {}",
-                st.label(),
-                r.health_residency[st.ordinal() as usize]
-            ));
-        }
-        s.push('\n');
-    }
-    if r.breaker_trips > 0 {
-        s.push_str(&format!(
-            "breaker: {} trips, {} reclosures\n",
-            r.breaker_trips, r.breaker_reclosures
-        ));
-    }
     s
 }
 
@@ -250,10 +219,6 @@ mod tests {
                 watchdog_recoveries: 0,
                 timeout_recoveries: 0,
                 demotions: 0,
-                repromotions: 0,
-                breaker_trips: 0,
-                breaker_reclosures: 0,
-                health_residency: [0; 4],
                 pair_ledgers: vec![],
                 stores_converted: 0,
                 stores_skipped: 0,
@@ -296,37 +261,29 @@ mod tests {
     #[test]
     fn resilience_table_shows_modes_and_totals() {
         use crate::faults::PairLedger;
-        use omp_rt::mode::{HealthState, PairMode};
+        use omp_rt::mode::PairMode;
         let mut r = dummy("slip-G0", 100).raw;
         r.recoveries = 11;
         r.watchdog_recoveries = 2;
         r.timeout_recoveries = 3;
         r.demotions = 1;
-        r.repromotions = 1;
-        r.health_residency = [7, 1, 3, 1];
-        r.breaker_trips = 1;
-        r.breaker_reclosures = 1;
         r.pair_ledgers = vec![
             PairLedger {
                 tid: 0,
                 mode: PairMode::Slipstream,
-                health: HealthState::Healthy,
                 faults_injected: 1,
                 recoveries: 2,
                 watchdog_recoveries: 0,
                 timeout_recoveries: 1,
-                repromotions: 1,
-                demoted_at: Some(777),
+                demoted_at: None,
             },
             PairLedger {
                 tid: 1,
                 mode: PairMode::DegradedSingle,
-                health: HealthState::Demoted,
                 faults_injected: 4,
                 recoveries: 9,
                 watchdog_recoveries: 2,
                 timeout_recoveries: 2,
-                repromotions: 0,
                 demoted_at: Some(12_345),
             },
         ];
@@ -335,15 +292,8 @@ mod tests {
         assert!(t.contains("slipstream"), "{t}");
         assert!(t.contains("12345"), "{t}");
         assert!(
-            t.contains("total: 5 faults, 11 recoveries (2 watchdog, 3 timeout), 1 demotions, 1 repromotions"),
+            t.contains("total: 5 faults, 11 recoveries (2 watchdog, 3 timeout), 1 demotions"),
             "{t}"
         );
-        assert!(
-            t.contains(
-                "health residency (pair-regions): healthy 7 suspect 1 demoted 3 probation 1"
-            ),
-            "{t}"
-        );
-        assert!(t.contains("breaker: 1 trips, 1 reclosures"), "{t}");
     }
 }

@@ -8,7 +8,6 @@ use crate::compile::{compile, CompiledProgram};
 use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
 use crate::faults::FaultPlan;
 use crate::gate::{admit, analyze_config, gate_program};
-use crate::health::HealthPolicy;
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{AddressMap, Cycle, FillCounts, MachineConfig, TimeBreakdown, TimeClass};
 use omp_analyze::{AnalysisReport, GateMode};
@@ -41,9 +40,6 @@ pub struct RunOptions {
     pub faults: FaultPlan,
     /// Divergence detection / recovery knobs (watchdog, retry budget).
     pub recovery: RecoveryPolicy,
-    /// Adaptive pair-health controller and team circuit breaker
-    /// ([`HealthPolicy::paper`] keeps both inert).
-    pub health: HealthPolicy,
     /// Optional OS-interference model (timer ticks / daemons).
     pub os_noise: Option<crate::exec::OsNoise>,
     /// Structured event tracing (observation-only; off by default).
@@ -100,7 +96,6 @@ impl RunOptions {
             inject_divergence: Vec::new(),
             faults: FaultPlan::none(),
             recovery: RecoveryPolicy::paper(),
-            health: HealthPolicy::paper(),
             os_noise: None,
             trace: TraceConfig::OFF,
             gate: GateMode::Warn,
@@ -134,12 +129,6 @@ impl RunOptions {
     /// Set the safety-gate mode.
     pub fn with_gate(mut self, gate: GateMode) -> Self {
         self.gate = gate;
-        self
-    }
-
-    /// Replace the pair-health / breaker policy.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
         self
     }
 
@@ -293,6 +282,7 @@ fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
 /// assert_eq!(summary.raw.user_a.loads, 256); // the A-streams prefetched it
 /// ```
 pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, String> {
+    check_machine(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
     // The gate needs only the hazard passes. Memoized replay also needs
     // the certification pass's replay-loop licenses, so a memo run
@@ -320,6 +310,14 @@ pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, S
     Ok(summary)
 }
 
+/// Reject a machine [`MachineConfig::validate`] refuses, before any
+/// analysis, compile or engine build can trip over it.
+fn check_machine(opts: &RunOptions) -> Result<(), String> {
+    opts.machine
+        .validate()
+        .map_err(|e| format!("invalid machine: {e}"))
+}
+
 /// Build the engine configuration `run_compiled` and the checkpoint
 /// entry points share for a set of run options.
 fn engine_config(opts: &RunOptions) -> EngineConfig {
@@ -329,7 +327,6 @@ fn engine_config(opts: &RunOptions) -> EngineConfig {
     cfg.inject_divergence = opts.inject_divergence.clone();
     cfg.faults = opts.faults.clone();
     cfg.recovery = opts.recovery;
-    cfg.health = opts.health;
     cfg.os_noise = opts.os_noise;
     cfg.trace = opts.trace;
     if let Some(mc) = opts.max_cycles {
@@ -374,6 +371,7 @@ pub fn run_compiled(
     name: String,
     opts: &RunOptions,
 ) -> Result<RunSummary, String> {
+    check_machine(opts)?;
     let label = mode_label(opts.mode, opts.sync);
     let engine = Engine::new(cp, engine_config(opts));
     let raw = engine.run()?;
@@ -401,6 +399,7 @@ pub fn checkpoint_compiled(
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
+    check_machine(opts)?;
     let mut engine = Engine::new(cp, engine_config(opts));
     let finished = engine.run_until(at_cycle)?;
     Ok(Checkpoint {
@@ -422,6 +421,7 @@ pub fn resume_compiled(
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
+    check_machine(opts)?;
     let label = mode_label(opts.mode, opts.sync);
     let mut engine = Engine::restore(cp, engine_config(opts), snapshot)?;
     engine.run_until(Cycle::MAX)?;
@@ -436,6 +436,7 @@ pub fn checkpoint_program(
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
+    check_machine(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
     gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
@@ -451,6 +452,7 @@ pub fn resume_program(
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
+    check_machine(opts)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
     resume_compiled(&cp, program.name.clone(), opts, snapshot)

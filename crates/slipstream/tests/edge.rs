@@ -99,6 +99,24 @@ fn single_cmp_machine_runs_every_mode() {
 }
 
 #[test]
+fn zero_cmp_machine_is_an_error_not_a_panic() {
+    let mut b = ProgramBuilder::new("none");
+    let a = b.shared_array("a", 64, 8);
+    let i = b.var();
+    b.parallel(move |r| {
+        r.par_for(None, i, 0, 64, move |body| {
+            body.load(a, Expr::v(i));
+        });
+    });
+    let p = b.build();
+    for mode in [ExecMode::Single, ExecMode::Double, ExecMode::Slipstream] {
+        let o = RunOptions::new(mode).with_machine(machine(0));
+        let err = run_program(&p, &o).expect_err("a 0-CMP machine must be rejected");
+        assert!(err.contains("num_cmps"), "{mode:?}: {err}");
+    }
+}
+
+#[test]
 fn deep_sequential_nesting() {
     let mut b = ProgramBuilder::new("deep");
     let a = b.shared_array("a", 16, 8);

@@ -9,6 +9,7 @@ use omp_ir::node::{Program, ReductionOp, ScheduleSpec};
 use omp_ir::trace::trace;
 use omp_rt::mode::PairMode;
 use omp_rt::{ExecMode, SlipSync};
+use sim_trace::{TraceConfig, TraceEvent};
 use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
 use slipstream::policy::RecoveryPolicy;
 use slipstream::report::resilience_table;
@@ -310,4 +311,169 @@ fn empty_plan_is_a_no_op() {
     assert_eq!(r.raw.watchdog_recoveries, 0);
     assert_eq!(r.raw.demotions, 0);
     assert!(r.raw.pair_ledgers.iter().all(|l| !l.demoted()));
+}
+
+/// A program with `regions` identical parallel regions of `fors` static
+/// loops each. The loops-per-region knob controls how many barrier
+/// epochs (= wander-fault hook slots, which reset per region) one region
+/// exposes.
+fn multi_region(n: i64, regions: usize, fors: usize) -> Program {
+    let mut b = omp_ir::ProgramBuilder::new("regions");
+    let x = b.shared_array("x", n as u64, 8);
+    let y = b.shared_array("y", n as u64, 8);
+    let i = b.var();
+    for _ in 0..regions {
+        b.parallel(move |r| {
+            for _ in 0..fors {
+                r.par_for(None, i, 0, n, move |body| {
+                    body.load(x, Expr::v(i));
+                    body.compute(2);
+                    body.store(y, Expr::v(i));
+                });
+            }
+        });
+    }
+    b.build()
+}
+
+/// Wander faults at A-epochs `0..seqs` against `tid`. Epoch counters
+/// reset at region start, so a blanket storm keeps re-firing on a pair
+/// as it recovers and advances within (and across) regions, until the
+/// unfired slots run out.
+fn wander_storm(tid: u64, seqs: u64) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for seq in 0..seqs {
+        plan = plan.with(FaultEvent {
+            kind: FaultKind::Wander,
+            tid,
+            seq,
+            arg: 0,
+        });
+    }
+    plan
+}
+
+fn run(p: &Program, team: u64, opts: RunOptions) -> RunSummary {
+    let mut m = machine();
+    m.num_cmps = team as usize;
+    let opts = opts.with_machine(m).with_sync(SlipSync::G0);
+    run_program(p, &opts).expect("run must terminate")
+}
+
+/// The token-wait timeout is a real anti-wedge tier of its own: with the
+/// watchdog disabled, a lost token (which strands the A-stream where no
+/// slack ever accumulates) is recovered by the timeout alone.
+#[test]
+fn token_wait_timeout_recovers_a_lost_token_without_the_watchdog() {
+    const TEAM: u64 = 4;
+    let p = multi_region(96, 4, 2);
+    let oracle = trace(&p, TEAM);
+    let plan = FaultPlan::none().with(FaultEvent {
+        kind: FaultKind::TokenLoss,
+        tid: 0,
+        seq: 0,
+        arg: 0,
+    });
+    let opts = RunOptions::new(ExecMode::Slipstream)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::hardened().with_watchdog(0));
+    let r = run(&p, TEAM, opts);
+    assert_oracle(&r, &oracle, "(token-wait timeout)");
+    assert!(
+        r.raw.timeout_recoveries >= 1,
+        "timeout tier must have recovered the stranded A-stream: {:?}",
+        r.raw.pair_ledgers
+    );
+    assert_eq!(r.raw.watchdog_recoveries, 0, "watchdog was disabled");
+    let l = &r.raw.pair_ledgers[0];
+    assert!(l.timeout_recoveries >= 1, "{l:?}");
+    assert!(l.timeout_recoveries <= l.recoveries, "subset: {l:?}");
+}
+
+/// Timeout recoveries are labelled in the structured trace, distinct from
+/// watchdog and slack recoveries.
+#[test]
+fn timeout_recoveries_are_labelled_in_the_trace() {
+    const TEAM: u64 = 4;
+    let p = multi_region(96, 4, 2);
+    let plan = FaultPlan::none().with(FaultEvent {
+        kind: FaultKind::TokenLoss,
+        tid: 0,
+        seq: 0,
+        arg: 0,
+    });
+    let opts = RunOptions::new(ExecMode::Slipstream)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::hardened().with_watchdog(0))
+        .with_trace(TraceConfig::on());
+    let r = run(&p, TEAM, opts);
+    let data = r.raw.trace.as_ref().expect("traced run");
+    let timeout_recoveries = data
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.ev,
+                TraceEvent::Recovery {
+                    timeout: true,
+                    watchdog: false,
+                    ..
+                }
+            )
+        })
+        .count() as u64;
+    assert_eq!(timeout_recoveries, r.raw.timeout_recoveries);
+    assert!(timeout_recoveries >= 1);
+}
+
+/// The retry budget is exact. Calibrate how many recoveries a blanket
+/// storm forces under an effectively unbounded budget, then pin the
+/// boundary: a budget of exactly that many survives; one less turns the
+/// final recovery into the demoting attempt.
+#[test]
+fn retry_budget_off_by_one_boundary() {
+    const TEAM: u64 = 4;
+    let p = multi_region(96, 8, 6);
+    let oracle = trace(&p, TEAM);
+    let storm = wander_storm(1, 16);
+    let base = RecoveryPolicy::paper().with_watchdog(150_000);
+    let probe = run(
+        &p,
+        TEAM,
+        RunOptions::new(ExecMode::Slipstream)
+            .with_faults(storm.clone())
+            .with_recovery(base.with_max_recoveries(64)),
+    );
+    let forced = probe.raw.pair_ledgers[1].recoveries;
+    assert!(
+        forced >= 2,
+        "storm must force repeated recoveries: {forced}"
+    );
+    assert!(!probe.raw.pair_ledgers[1].demoted());
+    // Budget exactly equal to the forced recoveries: survives.
+    let r = run(
+        &p,
+        TEAM,
+        RunOptions::new(ExecMode::Slipstream)
+            .with_faults(storm.clone())
+            .with_recovery(base.with_max_recoveries(forced)),
+    );
+    assert_oracle(&r, &oracle, "(budget == forced)");
+    let l = &r.raw.pair_ledgers[1];
+    assert_eq!(l.recoveries, forced, "{l:?}");
+    assert!(!l.demoted(), "exact budget must not demote: {l:?}");
+    assert_eq!(r.raw.demotions, 0);
+    // One less: the last recovery becomes the demoting attempt.
+    let r = run(
+        &p,
+        TEAM,
+        RunOptions::new(ExecMode::Slipstream)
+            .with_faults(storm)
+            .with_recovery(base.with_max_recoveries(forced - 1)),
+    );
+    assert_oracle(&r, &oracle, "(budget == forced - 1)");
+    let l = &r.raw.pair_ledgers[1];
+    assert_eq!(l.recoveries, forced, "budget + the demoting attempt: {l:?}");
+    assert!(l.demoted(), "{l:?}");
+    assert_eq!(r.raw.demotions, 1);
 }

@@ -15,7 +15,7 @@
 //!   under a different layout.
 //! - [`intern`]: a leak-once interner mapping decoded strings back to
 //!   `&'static str`. The simulator labels state with static strings
-//!   (time classes, fill classes, health states, fault sites); the label
+//!   (time classes, fill classes, fault kinds and sites); the label
 //!   sets are small and finite, so restoring them via a linear-scan
 //!   interner is simpler and safer than round-tripping enum ordinals for
 //!   every labelled subsystem.
@@ -373,8 +373,8 @@ static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 /// Map a decoded string to a `&'static str`, leaking at most one copy
 /// per distinct value for the life of the process.
 ///
-/// The simulator's labelled state (time classes, fill classes, health
-/// and fault labels) uses `&'static str`; the label alphabet is small
+/// The simulator's labelled state (time classes, fill classes, fault
+/// labels) uses `&'static str`; the label alphabet is small
 /// and fixed, so a linear scan over the seen set is fine and a new leak
 /// only happens the first time each label is restored.
 pub fn intern(s: &str) -> &'static str {

@@ -3,14 +3,10 @@
 //!
 //! Runs a barrier-dense toy kernel under several synchronizations and
 //! reports token traffic and the A-stream wait profile, then injects a
-//! divergence fault and shows the recovery path — first the paper's
-//! one-way escalation, then the adaptive health controller walking a
-//! battered pair through demote → probation → re-promote. Both faulted
-//! runs execute with the structured event tracer on and write
-//! `token_trace.trace.json` / `token_trace_health.trace.json` — Chrome
-//! trace-event files with per-CPU timeline tracks, per-pair token/lead
-//! counter tracks, and (for the health run) the per-pair `pairN health`
-//! state track, openable in <https://ui.perfetto.dev>.
+//! divergence fault and shows the recovery path. The faulted run executes
+//! with the structured event tracer on and writes `token_trace.trace.json`
+//! — a Chrome trace-event file with per-CPU timeline tracks and per-pair
+//! token/lead counter tracks, openable in <https://ui.perfetto.dev>.
 //!
 //! ```sh
 //! cargo run --release --example token_trace
@@ -95,62 +91,5 @@ fn main() {
         "wrote token_trace.trace.json ({} events, {} spans) — open it in https://ui.perfetto.dev",
         td.events.len(),
         td.spans.iter().map(|s| s.len()).sum::<usize>()
-    );
-
-    // Act three: the adaptive health controller. The same wander fault
-    // with a zero retry budget demotes pair 1 to single-stream mode — but
-    // under `HealthPolicy::adaptive()` the demotion is probationary: the
-    // pair serves a cool-down, re-enters on probation, and earns its way
-    // back to full slipstream. The program needs several regions (the
-    // controller's clock) with several worksharing loops each (wander
-    // hook slots reset per region).
-    let mut pb = ProgramBuilder::new("health-demo");
-    let n: i64 = 96;
-    let x = pb.shared_array("x", n as u64, 8);
-    let y = pb.shared_array("y", n as u64, 8);
-    let i = pb.var();
-    for _ in 0..8 {
-        pb.parallel(move |region| {
-            for _ in 0..6 {
-                region.par_for(None, i, 0, n, move |body| {
-                    body.load(x, Expr::v(i));
-                    body.compute(2);
-                    body.store(y, Expr::v(i));
-                });
-            }
-        });
-    }
-    let program = pb.build();
-
-    let opts = RunOptions::new(ExecMode::Slipstream)
-        .with_machine(MachineConfig::paper())
-        .with_sync(SlipSync::G0)
-        .with_faults(FaultPlan::wander_at(1, 0))
-        .with_recovery(
-            RecoveryPolicy::paper()
-                .with_watchdog(150_000)
-                .with_max_recoveries(0),
-        )
-        .with_health(HealthPolicy::adaptive().with_breaker(BreakerConfig::disabled()))
-        .with_trace(TraceConfig::on());
-    let r = run_program(&program, &opts).unwrap();
-    println!("\nadaptive health controller — pair 1 wanders, budget 0:\n");
-    print!("{}", resilience_table(&r.raw));
-
-    let td = r.raw.trace.as_ref().expect("tracing was on");
-    let arc: Vec<String> = td
-        .events
-        .iter()
-        .filter_map(|e| match &e.ev {
-            TraceEvent::Health { pair: 1, from, to } => Some(format!("{from}->{to} @{}", e.cycle)),
-            _ => None,
-        })
-        .collect();
-    println!("pair 1 health arc: {}", arc.join(", "));
-    let json = chrome_trace_json(td);
-    validate_chrome_trace(&json).expect("emitted trace is valid");
-    std::fs::write("token_trace_health.trace.json", &json).expect("write trace");
-    println!(
-        "wrote token_trace_health.trace.json — the \"pair1 health\" counter\ntrack steps healthy(0) -> demoted(2) -> probation(3) -> healthy(0)."
     );
 }

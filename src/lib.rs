@@ -76,9 +76,8 @@ pub mod prelude {
     pub use omp_ir::expr::Expr;
     pub use omp_ir::node::{ReductionOp, ScheduleSpec, SlipSyncType, SlipstreamClause};
     pub use omp_ir::{parse_directive, parse_omp_slipstream_env, ProgramBuilder};
-    pub use omp_rt::{BreakerConfig, ExecMode, HealthState, RuntimeEnv, SlipSync};
+    pub use omp_rt::{ExecMode, RuntimeEnv, SlipSync};
     pub use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
-    pub use slipstream::health::HealthPolicy;
     pub use slipstream::policy::{AStreamPolicy, RecoveryPolicy};
     pub use slipstream::report::{breakdown_table, coverage_line, fills_table, resilience_table};
     pub use slipstream::runner::{run_figure2_modes, run_program, RunOptions, RunSummary};
