@@ -12,7 +12,8 @@
 //!
 //! * `FUZZ_ITERS` — cases to run (default 500);
 //! * `FUZZ_SEED` — master seed (default 1); the campaign is a pure
-//!   function of `(FUZZ_SEED, FUZZ_ITERS)` regardless of host threads;
+//!   function of `(FUZZ_SEED, FUZZ_ITERS)` regardless of host threads
+//!   (`BENCH_WORKERS` only caps how many shards run at once);
 //! * `FUZZ_OUT` — output directory (default `fuzz-out`): receives
 //!   `repro-<fingerprint>.json`, `failures.json`, and `corpus/`;
 //! * `FUZZ_SELFCHECK` — when `1`, instead of a campaign, verify that
@@ -30,9 +31,13 @@ use omp_ir::program_to_json;
 use slipstream::EngineMutation;
 use std::path::Path;
 
-/// Deterministic shard seeds: shard `k` of master seed `s` runs its own
-/// campaign from `s + k`, so the merged result does not depend on how
-/// many host threads executed the shards.
+/// Shards per campaign. Fixed, so the case set never depends on the
+/// host: shard `k` of master seed `s` runs its own campaign from
+/// `s + k`, and the worker pool only caps how many run at once.
+const SHARDS: u64 = 4;
+
+/// Split `total` cases over `shards` as evenly as possible, dropping
+/// empty shards.
 fn shard_iters(total: u64, shards: u64) -> Vec<u64> {
     (0..shards)
         .map(|k| total / shards + u64::from(k < total % shards))
@@ -121,7 +126,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let shards = shard_iters(iters, (pool::worker_bound() as u64).clamp(1, 16));
+    let shards = shard_iters(iters, SHARDS);
     eprintln!(
         "fuzz: {iters} cases from seed {seed} across {} shards…",
         shards.len()

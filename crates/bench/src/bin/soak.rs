@@ -216,17 +216,12 @@ fn check_ledger(r: &RunSummary) -> Result<(), String> {
 
 fn run_scenario(s: &Scenario, programs: &[(Program, TraceSummary)]) -> Result<Tally, String> {
     let (program, oracle) = &programs[s.program_idx];
-    // Engine workers come from SIM_WORKERS, clamped by the pool guard so
-    // scenarios running on every pool worker never oversubscribe the
-    // host (results are bit-identical at any worker count regardless).
-    let workers = env::get("SIM_WORKERS").map_or(1, pool::engine_workers);
     let opts = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine(s.team as usize))
         .with_sync(s.sync)
         .with_faults(s.plan.clone())
         .with_recovery(s.recovery)
-        .with_trace(TraceConfig::on())
-        .with_workers(workers);
+        .with_trace(TraceConfig::on());
     let r = run_program(program, &opts).map_err(|e| format!("run failed: {e}"))?;
     if r.exec_cycles > CYCLE_BUDGET {
         return Err(format!(

@@ -6,25 +6,19 @@
 //! per second of host wall time. Writes `BENCH_throughput.json` at the
 //! repo root so the perf trajectory is tracked across PRs.
 //!
-//! Each pair is swept over the PDES worker counts (`SIM_WORKERS`-style
-//! engine threads). Rows carry the worker count and the header carries
-//! the host's core count, so trajectory scripts can tell a 1-core CI
-//! box from a 32-core workstation. `workers=1` rows hash to exactly the
-//! historical configuration string and stay comparable across PRs;
-//! `workers>1` rows extend the canonical string with `|workers=N` and
-//! form their own trajectories. The sweep also cross-checks stats
-//! fingerprints between worker counts and aborts on any divergence —
-//! a throughput number from a wrong simulation is worse than none.
+//! Each pair runs with memo off and on. The header carries the host's
+//! core count, so trajectory scripts can tell a 1-core CI box from a
+//! 32-core workstation. Memo-off rows hash to exactly the historical
+//! configuration string and stay comparable across PRs; memo-on rows
+//! extend the canonical string with `|memo=on` and form their own
+//! trajectories. The tracker also cross-checks stats fingerprints
+//! between the two and aborts on any divergence — a throughput number
+//! from a wrong simulation is worse than none.
 //!
 //! Environment:
 //! - `THROUGHPUT_PRESET`: `tiny` (default) or `paper` workload presets.
 //! - `THROUGHPUT_ITERS`: wall-time repetitions per pair; the best
 //!   (minimum) time is reported (default 3).
-//! - `THROUGHPUT_WORKERS`: comma-separated PDES worker counts to sweep
-//!   (default `1,4`). Values are taken literally — the oversubscription
-//!   clamp applies to pool-parallel harnesses, not to this serial
-//!   sweep, and a `workers > cores` smoke run is still a valid
-//!   determinism check.
 //! - `THROUGHPUT_OUT`: override the output path.
 
 use bench::{
@@ -38,8 +32,6 @@ use std::time::Instant;
 struct Row {
     benchmark: &'static str,
     mode: &'static str,
-    /// PDES engine worker threads the row was measured with.
-    workers: usize,
     exec_cycles: u64,
     wall_ns: u128,
     /// FNV-1a hash of the run's canonical configuration string. Rows with
@@ -63,12 +55,11 @@ impl Row {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"benchmark\":\"{}\",\"mode\":\"{}\",\"workers\":{},\
+            "{{\"benchmark\":\"{}\",\"mode\":\"{}\",\
              \"exec_cycles\":{},\"wall_ns\":{},\"cycles_per_sec\":{:.1},\
              \"config_hash\":\"{:016x}\",\"trace\":{},\"memo\":{}}}",
             self.benchmark,
             self.mode,
-            self.workers,
             self.exec_cycles,
             self.wall_ns,
             self.cycles_per_sec(),
@@ -79,22 +70,9 @@ impl Row {
     }
 }
 
-fn worker_sweep() -> Vec<usize> {
-    let mut sweep: Vec<usize> = bench::env::list_or("THROUGHPUT_WORKERS", &[1, 4])
-        .into_iter()
-        .map(|w: usize| w.max(1))
-        .collect();
-    sweep.dedup();
-    if sweep.is_empty() {
-        sweep.push(1);
-    }
-    sweep
-}
-
 fn main() {
     let preset = bench::env::string_or("THROUGHPUT_PRESET", "tiny");
     let iters: u32 = bench::env::get_or("THROUGHPUT_ITERS", 3).max(1);
-    let sweep = worker_sweep();
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -107,72 +85,62 @@ fn main() {
             _ => bm.build_tiny(),
         };
         for (label, mode, sync) in STATIC_MODES {
-            // One fingerprint per benchmark/mode pair, shared across the
-            // whole workers × memo sweep: a memo-on row that diverges from
-            // the memo-off baseline aborts the tracker before any number
-            // is written.
+            // One fingerprint per benchmark/mode pair: a memo-on row that
+            // diverges from the memo-off baseline aborts the tracker
+            // before any number is written.
             let mut fingerprint: Option<String> = None;
             for memo in [false, true] {
-                for &workers in &sweep {
-                    let mut o = RunOptions::new(mode)
-                        .with_machine(machine.clone())
-                        .with_workers(workers)
-                        .with_memo(memo);
-                    o.sync = sync;
-                    o.env = RuntimeEnv::default();
-                    let mut best = u128::MAX;
-                    let mut exec_cycles = 0u64;
-                    for _ in 0..iters {
-                        let t0 = Instant::now();
-                        let s = run_program(&program, &o).expect("simulation failed");
-                        best = best.min(t0.elapsed().as_nanos().max(1));
-                        exec_cycles = s.exec_cycles;
-                        let fp = summary_fingerprint(&s);
-                        match &fingerprint {
-                            None => fingerprint = Some(fp),
-                            Some(want) => assert_eq!(
-                                want,
-                                &fp,
-                                "fingerprint divergence: {} {label} at \
-                                 workers={workers} memo={memo} does not match \
-                                 the memo-off baseline",
-                                bm.name()
-                            ),
-                        }
+                let mut o = RunOptions::new(mode)
+                    .with_machine(machine.clone())
+                    .with_memo(memo);
+                o.sync = sync;
+                o.env = RuntimeEnv::default();
+                let mut best = u128::MAX;
+                let mut exec_cycles = 0u64;
+                for _ in 0..iters {
+                    let t0 = Instant::now();
+                    let s = run_program(&program, &o).expect("simulation failed");
+                    best = best.min(t0.elapsed().as_nanos().max(1));
+                    exec_cycles = s.exec_cycles;
+                    let fp = summary_fingerprint(&s);
+                    match &fingerprint {
+                        None => fingerprint = Some(fp),
+                        Some(want) => assert_eq!(
+                            want,
+                            &fp,
+                            "fingerprint divergence: {} {label} at memo={memo} does \
+                             not match the memo-off baseline",
+                            bm.name()
+                        ),
                     }
-                    // workers=1 memo-off hashes to the historical canonical
-                    // string so old trajectories keep matching; other rows
-                    // extend it.
-                    let mut canonical =
-                        throughput_config_string(&machine, &preset, bm.name(), label, false);
-                    if workers > 1 {
-                        canonical.push_str(&format!("|workers={workers}"));
-                    }
-                    if memo {
-                        canonical.push_str("|memo=on");
-                    }
-                    let row = Row {
-                        benchmark: bm.name(),
-                        mode: label,
-                        workers,
-                        exec_cycles,
-                        wall_ns: best,
-                        config_hash: config_hash(&canonical),
-                        trace: false,
-                        memo,
-                    };
-                    println!(
-                        "{:<4} {:<8} w{:<2} memo={:<5} {:>12} cycles {:>12.3} ms {:>14.0} cyc/s",
-                        row.benchmark,
-                        row.mode,
-                        row.workers,
-                        row.memo,
-                        row.exec_cycles,
-                        row.wall_ns as f64 / 1e6,
-                        row.cycles_per_sec()
-                    );
-                    rows.push(row);
                 }
+                // Memo-off rows hash to the historical canonical string
+                // so old trajectories keep matching; memo-on rows extend
+                // it.
+                let mut canonical =
+                    throughput_config_string(&machine, &preset, bm.name(), label, false);
+                if memo {
+                    canonical.push_str("|memo=on");
+                }
+                let row = Row {
+                    benchmark: bm.name(),
+                    mode: label,
+                    exec_cycles,
+                    wall_ns: best,
+                    config_hash: config_hash(&canonical),
+                    trace: false,
+                    memo,
+                };
+                println!(
+                    "{:<4} {:<8} memo={:<5} {:>12} cycles {:>12.3} ms {:>14.0} cyc/s",
+                    row.benchmark,
+                    row.mode,
+                    row.memo,
+                    row.exec_cycles,
+                    row.wall_ns as f64 / 1e6,
+                    row.cycles_per_sec()
+                );
+                rows.push(row);
             }
         }
     }

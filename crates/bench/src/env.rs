@@ -1,8 +1,7 @@
 //! Uniform environment-variable parsing for the bench binaries.
 //!
-//! Every knob across the harness (`BENCH_WORKERS`, `SIM_WORKERS`,
-//! `SOAK_*`, `FUZZ_*`, `THROUGHPUT_*`, `TRACE_*`, `ANALYZE_*`, ...)
-//! resolves through these helpers so the rules are identical
+//! Every knob across the harness (`BENCH_WORKERS`, `SOAK_*`, `FUZZ_*`,
+//! `THROUGHPUT_*`, `TRACE_*`, `ANALYZE_*`, ...) resolves through these helpers so the rules are identical
 //! everywhere: an unset or empty variable falls back to its default,
 //! and a *malformed* value aborts loudly with a uniform message instead
 //! of being silently swallowed — a sweep that ran with the wrong worker
@@ -51,24 +50,6 @@ pub fn flag(name: &str) -> bool {
     std::env::var_os(name).is_some()
 }
 
-/// Read `name` as a comma-separated list. Unset or empty returns the
-/// default; any malformed element panics with a uniform message.
-pub fn list_or<T>(name: &str, default: &[T]) -> Vec<T>
-where
-    T: FromStr + Clone,
-    T::Err: Display,
-{
-    let Some(raw) = string(name) else {
-        return default.to_vec();
-    };
-    raw.split(',')
-        .map(|item| match item.trim().parse() {
-            Ok(v) => v,
-            Err(e) => panic!("{name}={raw:?} has invalid element {item:?}: {e}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     // Process-global environment mutation: each test uses its own
@@ -88,9 +69,6 @@ mod tests {
     fn valid_values_parse() {
         std::env::set_var("BENCH_ENV_TEST_NUM", " 42 ");
         assert_eq!(get::<usize>("BENCH_ENV_TEST_NUM"), Some(42));
-        std::env::set_var("BENCH_ENV_TEST_LIST", "1, 2,4");
-        assert_eq!(list_or::<usize>("BENCH_ENV_TEST_LIST", &[9]), vec![1, 2, 4]);
-        assert_eq!(list_or::<usize>("BENCH_ENV_TEST_LIST_UNSET", &[9]), vec![9]);
     }
 
     #[test]

@@ -53,24 +53,6 @@ fn permits() -> &'static AtomicUsize {
     HELPER_PERMITS.get_or_init(|| AtomicUsize::new(worker_bound().saturating_sub(1)))
 }
 
-/// Oversubscription guard for simulations launched *through this pool*
-/// that also want PDES engine workers: clamp an engine's worker request
-/// so `pool workers × engine workers` never exceeds the host's
-/// available parallelism. The pool side of the product is
-/// [`worker_bound`] — i.e. `BENCH_WORKERS` is respected: capping the
-/// pool below the core count is exactly how a caller frees cores for
-/// engine-level parallelism. With an unset `BENCH_WORKERS` the pool may
-/// saturate the host, and every engine correctly degrades to the serial
-/// fast path (`1`). `0` requests "whatever share is free".
-pub fn engine_workers(requested: usize) -> usize {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    dsm_sim::clamp_workers(
-        dsm_sim::resolve_workers(requested, host),
-        worker_bound(),
-        host,
-    )
-}
-
 fn try_acquire() -> bool {
     let p = permits();
     let mut cur = p.load(Ordering::Relaxed);
@@ -181,18 +163,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_workers_respects_the_product_bound() {
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let w = engine_workers(usize::MAX);
-        assert!(w >= 1);
-        // pool workers × engine workers never exceeds the host (the
-        // degenerate host < bound case still grants the floor of one).
-        assert!(w * worker_bound() <= host.max(worker_bound()));
-        assert!(engine_workers(0) >= 1, "0 means auto, never zero threads");
-        assert_eq!(engine_workers(1), 1, "serial request is honoured");
-    }
 
     #[test]
     fn results_come_back_in_task_order() {

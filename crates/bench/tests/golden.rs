@@ -94,6 +94,25 @@ fn golden_trace_parity() {
 }
 
 #[test]
+fn processed_event_count_ignores_tracing() {
+    // `RunResult::events` is the denominator of ns per event and sits
+    // outside the stats fingerprint: it must count the same engine work
+    // whether or not the run is traced.
+    let machine = small_machine();
+    let program = Benchmark::Cg.build_tiny();
+    for (label, mode, sync) in STATIC_MODES {
+        let mut o = RunOptions::new(mode).with_machine(machine.clone());
+        o.sync = sync;
+        o.env = RuntimeEnv::default();
+        let plain = run_program(&program, &o).expect("untraced run");
+        assert!(plain.raw.events > 0, "{label}: no events counted");
+        let o = o.with_trace(sim_trace::TraceConfig::on());
+        let traced = run_program(&program, &o).expect("traced run");
+        assert_eq!(traced.raw.events, plain.raw.events, "{label}: traced");
+    }
+}
+
+#[test]
 fn golden_runs_are_repeatable_in_process() {
     // Two in-process runs of the same configuration must agree exactly
     // (guards against any hidden global state in the fast paths).

@@ -2,13 +2,10 @@
 //!
 //! `Engine::snapshot` serializes the complete simulator state at an
 //! event boundary and `Engine::restore` rebuilds it under a fresh
-//! engine. The contract is the same as the PDES one: a run that
-//! checkpoints at cycle T and resumes from the snapshot must produce
-//! output *bit-identical* to the uninterrupted run — same
-//! `exec_cycles`, same stats fingerprint — across every kernel, mode,
-//! worker count, trace configuration, and fault plan. The snapshot is
-//! worker-count-agnostic, so a serial warmup may fork into parallel
-//! continuations and vice versa.
+//! engine. A run that checkpoints at cycle T and resumes from the
+//! snapshot must produce output *bit-identical* to the uninterrupted
+//! run — same `exec_cycles`, same stats fingerprint — across every
+//! kernel, mode, trace configuration, and fault plan.
 
 use bench::{small_machine, summary_fingerprint, STATIC_MODES};
 use npb_kernels::Benchmark;
@@ -41,49 +38,18 @@ fn every_kernel_and_mode_restores_identically() {
     for bm in Benchmark::ALL {
         let program = bm.build_tiny();
         for (label, mode, sync) in STATIC_MODES {
-            for workers in [1usize, 4] {
-                let mut o = RunOptions::new(mode)
-                    .with_machine(machine.clone())
-                    .with_workers(workers);
-                o.sync = sync;
-                o.env = RuntimeEnv::default();
-                let (want, cycles) = straight(&program, &o);
-                // Slice at several depths: early (warmup barely
-                // started), midpoint, and just before the end.
-                for at in [cycles / 10, cycles / 2, cycles - 1] {
-                    let got = sliced(&program, &o, &o, at.max(1));
-                    assert_eq!(
-                        want,
-                        got,
-                        "{} {label} workers={workers} diverged after restore at cycle {at}",
-                        bm.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn snapshots_are_worker_count_agnostic() {
-    // The queue export is (time, seq, cpu) triples — no domain
-    // structure — so a snapshot taken under the serial engine must
-    // resume bit-identically under the PDES engine and vice versa.
-    let machine = small_machine();
-    for bm in [Benchmark::Cg, Benchmark::Lu] {
-        let program = bm.build_tiny();
-        for (label, mode, sync) in STATIC_MODES {
             let mut o = RunOptions::new(mode).with_machine(machine.clone());
             o.sync = sync;
+            o.env = RuntimeEnv::default();
             let (want, cycles) = straight(&program, &o);
-            for (warm_w, resume_w) in [(1usize, 4usize), (4, 1), (2, 4)] {
-                let warm = o.clone().with_workers(warm_w);
-                let resume = o.clone().with_workers(resume_w);
-                let got = sliced(&program, &warm, &resume, cycles / 2);
+            // Slice at several depths: early (warmup barely started),
+            // midpoint, and just before the end.
+            for at in [cycles / 10, cycles / 2, cycles - 1] {
+                let got = sliced(&program, &o, &o, at.max(1));
                 assert_eq!(
                     want,
                     got,
-                    "{} {label} warm workers={warm_w} -> resume workers={resume_w} diverged",
+                    "{} {label} diverged after restore at cycle {at}",
                     bm.name()
                 );
             }

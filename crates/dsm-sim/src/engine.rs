@@ -120,9 +120,8 @@ impl EventQueue {
     }
 
     /// Export the pending events as `(time, seq, cpu)` sorted by
-    /// `(time, seq)` plus the next sequence stamp — the queue-neutral
-    /// form shared with [`DomainQueues::export`], so a snapshot taken
-    /// from either queue kind restores into either.
+    /// `(time, seq)` plus the next sequence stamp — the form an engine
+    /// snapshot stores.
     pub fn export(&self) -> (Vec<(Cycle, u64, CpuId)>, u64) {
         let mut evs: Vec<_> = self
             .heap
@@ -143,174 +142,6 @@ impl EventQueue {
                 .collect(),
             seq: next_seq,
         }
-    }
-}
-
-/// Per-CMP event queues for the conservative PDES layer (`crate::pdes`).
-///
-/// The machine's natural time-domain partition is the CMP node: its cores
-/// and L1s interact every cycle, but nodes only interact through the
-/// network and directories. `DomainQueues` keeps one min-heap per domain
-/// while preserving the *global* `(time, seq)` order of
-/// [`EventQueue`]: a single shared sequence counter stamps every
-/// `schedule` call, so popping the minimum across domains yields exactly
-/// the event the flat queue would have yielded. A wake scheduled for a
-/// CPU in another domain (a boundary crossing — e.g. an invalidation
-/// completing remotely) simply lands in the *target* CPU's domain heap
-/// and keeps its global sequence stamp, so handoff ordering is the same
-/// as in the serial engine.
-///
-/// The per-domain fronts are what the parallel driver needs that the flat
-/// queue cannot give it: which domains have work inside the current
-/// lookahead window ([`DomainQueues::domains_within`]).
-#[derive(Debug)]
-pub struct DomainQueues {
-    heaps: Vec<BinaryHeap<Reverse<Ev>>>,
-    cpus_per_domain: usize,
-    seq: u64,
-    len: usize,
-}
-
-impl DomainQueues {
-    /// Empty queues for `num_domains` domains of `cpus_per_domain` CPUs
-    /// each (CPU `c` belongs to domain `c / cpus_per_domain`).
-    pub fn new(num_domains: usize, cpus_per_domain: usize) -> Self {
-        assert!(num_domains > 0, "need at least one domain");
-        assert!(cpus_per_domain > 0, "need at least one cpu per domain");
-        DomainQueues {
-            heaps: (0..num_domains).map(|_| BinaryHeap::new()).collect(),
-            cpus_per_domain,
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// The domain that owns `cpu`.
-    pub fn domain_of(&self, cpu: CpuId) -> usize {
-        (cpu.0 / self.cpus_per_domain).min(self.heaps.len() - 1)
-    }
-
-    /// Number of domains.
-    pub fn num_domains(&self) -> usize {
-        self.heaps.len()
-    }
-
-    /// Schedule `cpu` to wake at `time`. The sequence stamp is global
-    /// across domains, so merged pop order matches [`EventQueue`].
-    pub fn schedule(&mut self, time: Cycle, cpu: CpuId) {
-        let seq = self.seq;
-        self.seq += 1;
-        let d = self.domain_of(cpu);
-        self.heaps[d].push(Reverse(Ev::new(time, seq, cpu)));
-        self.len += 1;
-    }
-
-    /// Remove and return the globally earliest event as `(time, cpu)`,
-    /// breaking time ties by the global sequence stamp — identical to
-    /// [`EventQueue::pop`] over the same schedule history.
-    pub fn pop(&mut self) -> Option<(Cycle, CpuId)> {
-        let best = self
-            .heaps
-            .iter()
-            .enumerate()
-            .filter_map(|(d, h)| h.peek().map(|Reverse(e)| (e.key, d)))
-            .min()?;
-        self.len -= 1;
-        self.heaps[best.1].pop().map(|Reverse(e)| (e.time(), e.cpu))
-    }
-
-    /// Time of the globally earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heaps
-            .iter()
-            .filter_map(|h| h.peek().map(|Reverse(e)| e.time()))
-            .min()
-    }
-
-    /// Time of domain `d`'s earliest pending event, if any.
-    pub fn domain_peek_time(&self, d: usize) -> Option<Cycle> {
-        self.heaps[d].peek().map(|Reverse(e)| e.time())
-    }
-
-    /// Domain `d`'s earliest pending event as `(time, cpu)`, if any —
-    /// the front a PDES scout inspects without disturbing the queue.
-    pub fn domain_front(&self, d: usize) -> Option<(Cycle, CpuId)> {
-        self.heaps[d].peek().map(|Reverse(e)| (e.time(), e.cpu))
-    }
-
-    /// Domains whose earliest event lies within `lookahead` cycles of the
-    /// global frontier — the conservative admission set for one parallel
-    /// window. With `lookahead == 0` this degrades to lockstep: only
-    /// domains with events at exactly the frontier time are admitted,
-    /// which always includes the frontier domain itself, so progress is
-    /// guaranteed (no deadlock), just without overlap.
-    pub fn domains_within(&self, lookahead: Cycle) -> Vec<usize> {
-        let Some(front) = self.peek_time() else {
-            return Vec::new();
-        };
-        let horizon = front.saturating_add(lookahead);
-        (0..self.heaps.len())
-            .filter(|&d| self.domain_peek_time(d).is_some_and(|t| t <= horizon))
-            .collect()
-    }
-
-    /// Allocation-free count of [`domains_within`] — the per-pop hot
-    /// path only needs the admitted-domain *count*; the materialized
-    /// list is built lazily for the sampled scouted windows.
-    ///
-    /// [`domains_within`]: DomainQueues::domains_within
-    pub fn count_within(&self, lookahead: Cycle) -> usize {
-        let Some(front) = self.peek_time() else {
-            return 0;
-        };
-        let horizon = front.saturating_add(lookahead);
-        (0..self.heaps.len())
-            .filter(|&d| self.domain_peek_time(d).is_some_and(|t| t <= horizon))
-            .count()
-    }
-
-    /// Number of pending events across all domains.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending in any domain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Export the pending events in the queue-neutral form shared with
-    /// [`EventQueue::export`]: `(time, seq, cpu)` sorted by `(time, seq)`
-    /// plus the next global sequence stamp. The domain partition is
-    /// deliberately *not* part of the export — a snapshot restores into
-    /// any worker-count's queue layout.
-    pub fn export(&self) -> (Vec<(Cycle, u64, CpuId)>, u64) {
-        let mut evs: Vec<_> = self
-            .heaps
-            .iter()
-            .flat_map(|h| h.iter().map(|Reverse(e)| (e.time(), e.seq(), e.cpu)))
-            .collect();
-        evs.sort_unstable();
-        (evs, self.seq)
-    }
-
-    /// Rebuild domain queues from an exported event list, re-partitioning
-    /// by this instance's domain layout. Global sequence stamps are
-    /// preserved, so merged pop order is exactly the exporter's.
-    pub fn import(
-        events: &[(Cycle, u64, CpuId)],
-        next_seq: u64,
-        num_domains: usize,
-        cpus_per_domain: usize,
-    ) -> Self {
-        let mut q = DomainQueues::new(num_domains, cpus_per_domain);
-        for &(time, seq, cpu) in events {
-            let d = q.domain_of(cpu);
-            q.heaps[d].push(Reverse(Ev::new(time, seq, cpu)));
-            q.len += 1;
-        }
-        q.seq = next_seq;
-        q
     }
 }
 
@@ -521,71 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn domain_split_preserves_global_tie_break() {
-        // Same schedule history into a flat queue and a 4-domain split
-        // (2 cpus per domain): pop sequences must be identical, including
-        // same-time ties across *different* domains, which only the
-        // global sequence stamp can order.
-        let mut flat = EventQueue::new();
-        let mut dom = DomainQueues::new(4, 2);
-        let schedule = [
-            (5, CpuId(6)), // domain 3
-            (5, CpuId(0)), // domain 0 — same time, later seq
-            (3, CpuId(2)), // domain 1
-            (5, CpuId(1)), // domain 0
-            (3, CpuId(7)), // domain 3 — ties with (3, cpu 2) across domains
-            (9, CpuId(4)), // domain 2
-        ];
-        for &(t, c) in &schedule {
-            flat.schedule(t, c);
-            dom.schedule(t, c);
-        }
-        assert_eq!(dom.len(), flat.len());
-        while let Some(want) = flat.pop() {
-            assert_eq!(dom.pop(), Some(want));
-        }
-        assert_eq!(dom.pop(), None);
-        assert!(dom.is_empty());
-    }
-
-    #[test]
-    fn boundary_handoff_lands_in_target_domain_in_order() {
-        // A boundary crossing is a wake scheduled for a CPU owned by a
-        // different domain: it must join the *target* domain's heap and
-        // keep its global sequence stamp, so it pops exactly where the
-        // flat queue would have put it.
-        let mut dom = DomainQueues::new(2, 2);
-        dom.schedule(10, CpuId(3)); // domain 1's own work
-        dom.schedule(10, CpuId(2)); // "sent" to domain 1, later seq
-        dom.schedule(10, CpuId(0)); // domain 0, latest seq
-        assert_eq!(dom.domain_of(CpuId(2)), 1);
-        assert_eq!(dom.domain_peek_time(1), Some(10));
-        assert_eq!(dom.pop(), Some((10, CpuId(3))));
-        assert_eq!(dom.pop(), Some((10, CpuId(2))));
-        assert_eq!(dom.pop(), Some((10, CpuId(0))));
-    }
-
-    #[test]
-    fn zero_lookahead_admits_frontier_only_but_always_progresses() {
-        let mut dom = DomainQueues::new(3, 1);
-        dom.schedule(100, CpuId(0));
-        dom.schedule(100, CpuId(2));
-        dom.schedule(150, CpuId(1));
-        // Lockstep: only domains at exactly the frontier time.
-        assert_eq!(dom.domains_within(0), vec![0, 2]);
-        // A real lookahead admits the near-future domain too.
-        assert_eq!(dom.domains_within(50), vec![0, 1, 2]);
-        assert_eq!(dom.domains_within(49), vec![0, 2]);
-        // Zero lookahead never yields an empty admission set while events
-        // remain: the frontier domain is always admissible.
-        while !dom.is_empty() {
-            assert!(!dom.domains_within(0).is_empty());
-            dom.pop();
-        }
-        assert!(dom.domains_within(0).is_empty());
-    }
-
-    #[test]
     fn resource_serializes_overlapping_transactions() {
         let mut r = Resource::new();
         assert_eq!(r.acquire(100, 10), 110);
@@ -714,19 +480,14 @@ mod tests {
             (top, 7),
         ];
         let mut q = EventQueue::new();
-        let mut dom = DomainQueues::new(2, 4);
         for &(t, c) in &schedule {
             q.schedule(t, CpuId(c));
-            dom.schedule(t, CpuId(c));
         }
         let (events, next_seq) = q.export();
-        assert_eq!(dom.export(), (events.clone(), next_seq));
         let mut copy = EventQueue::import(&events, next_seq);
-        let mut dom_copy = DomainQueues::import(&events, next_seq, 4, 2);
         // A wake scheduled after the import ties with the imported ones
         // at `top` and must pop after them.
         copy.schedule(top, CpuId(0));
-        dom_copy.schedule(top, CpuId(0));
         let want = [
             (0, 3),
             (top - 1, 9),
@@ -737,14 +498,10 @@ mod tests {
         ];
         for &(t, c) in &want {
             assert_eq!(q.pop(), Some((t, CpuId(c))));
-            assert_eq!(dom.pop(), Some((t, CpuId(c))));
             assert_eq!(copy.pop(), Some((t, CpuId(c))));
-            assert_eq!(dom_copy.pop(), Some((t, CpuId(c))));
         }
         assert_eq!(q.pop(), None);
-        assert_eq!(dom.pop(), None);
         assert_eq!(copy.pop(), Some((top, CpuId(0))));
-        assert_eq!(dom_copy.pop(), Some((top, CpuId(0))));
     }
 
     /// Which paths of `push_pop` one [`drive_push_pop`] stream reached.

@@ -36,7 +36,6 @@ pub mod engine;
 pub mod memory;
 pub mod memsys;
 pub mod network;
-pub mod pdes;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -48,11 +47,10 @@ pub use classify::{Classifier, FillClass, FillCounts, ReqKind, FILL_CLASSES};
 pub use config::{CacheConfig, MachineConfig, MemoryTimingNs};
 pub use cpu::CpuTimeline;
 pub use directory::{DataSource, DirState, Directory};
-pub use engine::{Cycle, DomainQueues, EventQueue, Resource};
+pub use engine::{Cycle, EventQueue, Resource};
 pub use memory::MemoryControllers;
-pub use memsys::{AccessKind, AccessLocality, AccessResult, MachineCounters, MemSystem};
+pub use memsys::{AccessKind, AccessResult, MachineCounters, MemSystem};
 pub use network::Network;
-pub use pdes::{clamp_workers, lookahead_cycles, resolve_workers, PdesConfig};
 pub use rng::SplitMix64;
 pub use snap::fnv1a;
 pub use stats::{CpuStats, StreamRole, TimeBreakdown, TimeClass, TIME_CLASSES};

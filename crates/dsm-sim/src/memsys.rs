@@ -68,18 +68,6 @@ pub struct MachineCounters {
     pub invalidations_sent: u64,
 }
 
-/// Where an access would be satisfied relative to the requesting CPU's
-/// CMP time domain (see [`MemSystem::access_locality`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessLocality {
-    /// Satisfied by the CPU's L1 or its node's L2 bank — stays inside
-    /// one PDES time domain.
-    Local,
-    /// Requires the directory, network, or another node's caches —
-    /// crosses the domain boundary and must commit in global event order.
-    Boundary,
-}
-
 /// Result of one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
@@ -643,38 +631,6 @@ impl MemSystem {
         }
     }
 
-    /// Classify, *without mutating any machine state*, whether an access
-    /// by `cpu` would complete inside its own CMP time domain (L1 hit, or
-    /// L2-bank hit in a sufficient state) or would cross the
-    /// directory/network boundary into other domains (upgrades, misses,
-    /// in-flight merges). The PDES layer uses this as a routing
-    /// diagnostic — the per-domain speedup ceiling is set by the fraction
-    /// of accesses that stay [`AccessLocality::Local`]. The peek is
-    /// conservative: anything that would touch the directory, another
-    /// node's caches, or an MSHR entry is [`AccessLocality::Boundary`].
-    pub fn access_locality(&self, cpu: CpuId, addr: Addr, kind: AccessKind) -> AccessLocality {
-        let line = self.map.line_of(addr);
-        let cmp = cpu.cmp(&self.cfg);
-        let needs_m = kind != AccessKind::Load;
-        match self.l1[cpu.0].peek(line) {
-            Some(_) if !needs_m => return AccessLocality::Local,
-            Some(_) => {
-                // A store on an L1 hit is still local only when the CMP's
-                // L2 bank already owns the line.
-                if self.l2[cmp.0].peek(line) == Some(LineState::Modified) {
-                    return AccessLocality::Local;
-                }
-                return AccessLocality::Boundary;
-            }
-            None => {}
-        }
-        match self.l2[cmp.0].peek(line) {
-            Some(LineState::Modified) => AccessLocality::Local,
-            Some(LineState::Shared) if !needs_m => AccessLocality::Local,
-            _ => AccessLocality::Boundary,
-        }
-    }
-
     /// Diagnostic access to the per-CPU L1 (tests).
     pub fn l1_of(&self, cpu: CpuId) -> &SetAssocCache {
         &self.l1[cpu.0]
@@ -923,48 +879,6 @@ mod tests {
         let r = ms.access(CpuId(0), addr, AccessKind::Load, 0, &mut st);
         assert!(!r.remote);
         assert_eq!(r.complete, 204 + 11); // 170 ns + lookups
-    }
-
-    #[test]
-    fn locality_peek_tracks_cache_state_without_mutating() {
-        let mut ms = sys();
-        let mut st = CpuStats::default();
-        let addr = shared_addr(&ms, 0);
-        // Cold: everything is a boundary crossing.
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Load),
-            AccessLocality::Boundary
-        );
-        // The peek must not have warmed anything.
-        let r = ms.access(CpuId(0), addr, AccessKind::Load, 0, &mut st);
-        assert!(!r.l1_hit);
-        // Warm load: local. A store still needs M state: boundary.
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Load),
-            AccessLocality::Local
-        );
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Store),
-            AccessLocality::Boundary
-        );
-        // After a store the line is Modified in the L2 bank: both local.
-        let r = ms.access(CpuId(0), addr, AccessKind::Store, r.complete, &mut st);
-        assert_eq!(
-            ms.access_locality(CpuId(0), addr, AccessKind::Store),
-            AccessLocality::Local
-        );
-        // The sibling CPU has no L1 copy but shares the L2 bank: local.
-        assert_eq!(
-            ms.access_locality(CpuId(1), addr, AccessKind::Load),
-            AccessLocality::Local
-        );
-        // A CPU on another CMP would cross the boundary.
-        let far = CpuId(MachineConfig::paper().cpus_per_cmp * 2);
-        assert_eq!(
-            ms.access_locality(far, addr, AccessKind::Load),
-            AccessLocality::Boundary
-        );
-        let _ = r;
     }
 
     #[test]

@@ -227,14 +227,15 @@ impl Semaphore {
     }
 
     /// Insert a token. If a processor is parked, it is granted the token
-    /// directly and returned for waking.
+    /// directly and returned for waking. The count saturates at
+    /// `u64::MAX`, a bound no run can consume down from.
     pub fn signal(&mut self) -> Option<CpuId> {
         self.inserted += 1;
         if let Some(cpu) = self.queue.pop_front() {
             self.consumed += 1;
             Some(cpu)
         } else {
-            self.count += 1;
+            self.count = self.count.saturating_add(1);
             None
         }
     }

@@ -960,11 +960,14 @@ impl<'p> Walker<'p> {
             },
             _ => clause,
         };
+        // Token counts past `u32::MAX` saturate: the window already spans
+        // every phase of any region long before that.
+        let tokens = u32::try_from(resolved.tokens).unwrap_or(u32::MAX);
         let (label, window): (&'static str, u32) = match resolved.sync {
-            SlipSyncType::GlobalSync => ("global", resolved.tokens as u32 + 1),
-            SlipSyncType::LocalSync => ("local", resolved.tokens as u32 + 2),
+            SlipSyncType::GlobalSync => ("global", tokens.saturating_add(1)),
+            SlipSyncType::LocalSync => ("local", tokens.saturating_add(2)),
             SlipSyncType::None => ("off", 0),
-            SlipSyncType::RuntimeSync => ("global", resolved.tokens as u32 + 1),
+            SlipSyncType::RuntimeSync => ("global", tokens.saturating_add(1)),
         };
         let max_phase_lines = self
             .phase_lines

@@ -28,8 +28,8 @@ use crate::memo::{MemoDiag, MemoPlan};
 use crate::pairing::{Decision, PairState};
 use crate::policy::{AAction, AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{
-    AccessKind, AccessLocality, Addr, AddressMap, Barrier, CmpId, CpuId, CpuTimeline, Cycle,
-    DomainQueues, EventQueue, Lock, MachineConfig, MemSystem, StreamRole, TimeClass,
+    AccessKind, Addr, AddressMap, Barrier, CmpId, CpuId, CpuTimeline, Cycle, EventQueue, Lock,
+    MachineConfig, MemSystem, StreamRole, TimeClass,
 };
 use omp_ir::expr::{BinOp, EvalCtx, Expr, TableId, VarId};
 use omp_ir::node::{ArrayId, Reduction, ReductionOp, SlipSyncType, SlipstreamClause};
@@ -147,10 +147,6 @@ pub struct EngineConfig {
     pub recovery: RecoveryPolicy,
     /// Fault-injection plan fired at the engine's hook points.
     pub faults: FaultPlan,
-    /// Legacy fault injection: `(tid, epoch)` pairs at which the A-stream
-    /// diverges instead of skipping its `epoch`-th construct barrier.
-    /// Converted into [`FaultKind::Wander`] events at engine build.
-    pub inject_divergence: Vec<(u64, u64)>,
     /// Optional OS-interference model.
     pub os_noise: Option<OsNoise>,
     /// Structured event tracing (observation-only; off by default). When
@@ -164,18 +160,6 @@ pub struct EngineConfig {
     /// Seeded engine-mutation class (fuzzer self-check only);
     /// [`EngineMutation::None`] keeps the engine bit-identical.
     pub mutation: EngineMutation,
-    /// PDES worker threads. `1` (the default) runs the serial event loop
-    /// unchanged; `> 1` switches the scheduler to per-CMP time domains
-    /// ([`DomainQueues`]) with conservative lookahead windows, a scout
-    /// worker pool, and closed-form replay of constant-compute loop runs.
-    /// Results are bit-identical for every worker count.
-    pub workers: usize,
-    /// Override the conservative lookahead horizon (cycles). `None`
-    /// derives it from the machine's minimum remote-hop latency
-    /// ([`dsm_sim::lookahead_cycles`]); `Some(0)` degrades window
-    /// admission to lockstep (frontier-time events only) but must still
-    /// make progress.
-    pub lookahead: Option<Cycle>,
     /// Certified replay-loop plan for memoized phase replay (default
     /// empty = off). Only armed in single/double mode with no mutation,
     /// faults, OS noise, or tracing; every jump is guarded by the
@@ -198,60 +182,14 @@ impl EngineConfig {
             io_cycles_per_8_bytes: 1,
             recovery: RecoveryPolicy::paper(),
             faults: FaultPlan::none(),
-            inject_divergence: Vec::new(),
             os_noise: None,
             trace: TraceConfig::OFF,
             max_cycles: 50_000_000_000,
             max_events: 2_000_000_000,
             mutation: EngineMutation::None,
-            workers: 1,
-            lookahead: None,
             memo: MemoPlan::default(),
         }
     }
-
-    /// Set the PDES worker count (`1` = serial fast path).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-}
-
-/// Diagnostics from the PDES scheduling layer. All zeros when the run
-/// used the serial fast path (`workers == 1`). Deterministic for a given
-/// simulation input — independent of the worker count actually used —
-/// and excluded from stats fingerprints (observation-only, like traces).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PdesDiag {
-    /// Worker threads the engine ran with.
-    pub workers: usize,
-    /// Lookahead horizon in effect (cycles).
-    pub lookahead: Cycle,
-    /// Windows formed (one per scheduler pop on the parallel path).
-    pub windows: u64,
-    /// Windows whose admitted set spanned more than one time domain —
-    /// the opportunities for concurrent domain stepping.
-    pub multi_domain_windows: u64,
-    /// Largest admitted-domain count seen in any window.
-    pub peak_window_domains: usize,
-    /// Sampled windows handed to the scout worker pool.
-    pub scouted_windows: u64,
-    /// Scouted domain fronts about to run provably CPU-private work
-    /// (compute-only loop runs) — safely replayable ahead of commit.
-    pub scout_pure: u64,
-    /// Scouted fronts whose next memory access stays inside the domain
-    /// (L1/L2-bank hit, no directory or network crossing).
-    pub scout_local: u64,
-    /// Scouted fronts about to cross the directory/network boundary —
-    /// these serialize at the global frontier.
-    pub scout_boundary: u64,
-    /// Scouted fronts in runtime/protocol code (barriers, scheduling).
-    pub scout_other: u64,
-    /// Constant-compute loop runs retired in closed form.
-    pub ff_pieces: u64,
-    /// Loop iterations those runs covered (each would have been one
-    /// serial micro-step).
-    pub ff_iters: u64,
 }
 
 /// Aggregated outcome of one simulated run.
@@ -297,16 +235,12 @@ pub struct RunResult {
     pub machine: dsm_sim::MachineCounters,
     /// Scheduler events the engine processed, stale pops included — the
     /// denominator that turns host time into ns per event. Independent of
-    /// tracing and worker count; memo replay skips events, so memo-on
-    /// runs process fewer. Observation-only: excluded from stats
-    /// fingerprints by design.
+    /// tracing; memo replay skips events, so memo-on runs process fewer.
+    /// Observation-only: excluded from stats fingerprints by design.
     pub events: u64,
     /// Merged trace of the run when [`EngineConfig::trace`] was on.
     /// Observation-only: excluded from stats fingerprints by design.
     pub trace: Option<TraceData>,
-    /// PDES scheduling diagnostics (all zeros on the serial fast path).
-    /// Observation-only: excluded from stats fingerprints by design.
-    pub pdes: PdesDiag,
     /// Memoized-phase-replay diagnostics (all zeros without a plan).
     /// Observation-only: excluded from stats fingerprints by design.
     pub memo: MemoDiag,
@@ -469,127 +403,6 @@ impl EvalCtx for ExprView<'_> {
     }
 }
 
-/// Scheduler backend: the flat serial heap (`workers == 1`, the
-/// pre-PDES event loop byte-for-byte) or the per-CMP domain split
-/// (`workers > 1`). Both pop in identical `(time, seq, cpu)` order —
-/// [`DomainQueues`] stamps one global sequence across all domains — so
-/// the choice is invisible to execution semantics; the split
-/// additionally exposes per-domain fronts for window formation.
-enum Q {
-    Serial(EventQueue),
-    Domains(DomainQueues),
-}
-
-impl Q {
-    fn schedule(&mut self, time: Cycle, cpu: CpuId) {
-        match self {
-            Q::Serial(q) => q.schedule(time, cpu),
-            Q::Domains(q) => q.schedule(time, cpu),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycle, CpuId)> {
-        match self {
-            Q::Serial(q) => q.pop(),
-            Q::Domains(q) => q.pop(),
-        }
-    }
-
-    /// `schedule` then `pop`, fused on the serial heap.
-    fn push_pop(&mut self, time: Cycle, cpu: CpuId) -> (Cycle, CpuId) {
-        match self {
-            Q::Serial(q) => q.push_pop(time, cpu),
-            Q::Domains(q) => {
-                q.schedule(time, cpu);
-                q.pop().expect("an event was just scheduled")
-            }
-        }
-    }
-
-    fn peek_time(&self) -> Option<Cycle> {
-        match self {
-            Q::Serial(q) => q.peek_time(),
-            Q::Domains(q) => q.peek_time(),
-        }
-    }
-}
-
-/// What a scout finds at a domain's front: the class of work its next
-/// event will run. Indexes into the scout tally array.
-#[derive(Clone, Copy)]
-enum ScoutClass {
-    /// Compute-only loop run: provably confined to CPU-private state.
-    Pure = 0,
-    /// Next memory access resolves inside the domain (no crossing).
-    Local = 1,
-    /// Next memory access crosses the directory/network boundary.
-    Boundary = 2,
-    /// Runtime/protocol work (barriers, scheduling, pool, ...).
-    Other = 3,
-}
-
-/// Classify the work CPU `ci` will run next. Read-only — safe to call
-/// from scout worker threads sharing the engine state immutably; must
-/// not touch cache LRU or any other mutable simulation state (it uses
-/// [`MemSystem::access_locality`], the non-mutating peek).
-fn scout_classify(
-    cp: &CompiledProgram,
-    ms: &MemSystem,
-    map: &AddressMap,
-    cpus: &[CpuState],
-    nthreads: i64,
-    ci: usize,
-) -> ScoutClass {
-    let c = &cpus[ci];
-    let view = ExprView {
-        vars: &c.vars,
-        tid: c.tid as i64,
-        nthreads,
-        tables: &cp.tables,
-    };
-    let locality = |addr: Addr, kind: AccessKind| match ms.access_locality(CpuId(ci), addr, kind) {
-        AccessLocality::Local => ScoutClass::Local,
-        AccessLocality::Boundary => ScoutClass::Boundary,
-    };
-    let classify_op = |op: Op| match op {
-        Op::ComputeConst(_) | Op::ComputeDyn(_) => ScoutClass::Pure,
-        Op::LoadShared(addr) => locality(addr, AccessKind::Load),
-        Op::StoreShared(addr) => locality(addr, AccessKind::Store),
-        Op::LoadPrivate(off) => locality(map.private_base(CpuId(ci)) + off, AccessKind::Load),
-        Op::StorePrivate(off) => locality(map.private_base(CpuId(ci)) + off, AccessKind::Store),
-        Op::LoadDyn { array, index } => {
-            let idx = cp.exprs[index as usize].eval(&view);
-            locality(
-                cp.element_addr(map, CpuId(ci), array, idx),
-                AccessKind::Load,
-            )
-        }
-        Op::StoreDyn { array, index } => {
-            let idx = cp.exprs[index as usize].eval(&view);
-            locality(
-                cp.element_addr(map, CpuId(ci), array, idx),
-                AccessKind::Store,
-            )
-        }
-        _ => ScoutClass::Other,
-    };
-    match c.frames.last() {
-        Some(&Frame::For { body, cur, end, .. }) if cur < end => match cp.ops[body.0 as usize] {
-            Op::ComputeConst(_) | Op::ComputeDyn(_) => ScoutClass::Pure,
-            op => classify_op(op),
-        },
-        Some(&Frame::Seq { node, idx }) => match cp.ops[node.0 as usize] {
-            Op::Seq { first, len } if idx < len as usize => {
-                classify_op(cp.ops[cp.kids[first as usize + idx].0 as usize])
-            }
-            op if idx == 0 => classify_op(op),
-            _ => ScoutClass::Other,
-        },
-        Some(&Frame::ChunkIter { body, .. }) => classify_op(cp.ops[body.0 as usize]),
-        _ => ScoutClass::Other,
-    }
-}
-
 /// The execution engine for one run.
 pub struct Engine<'p> {
     cp: &'p CompiledProgram,
@@ -597,7 +410,7 @@ pub struct Engine<'p> {
     layout: TeamLayout,
     map: AddressMap,
     ms: MemSystem,
-    q: Q,
+    q: EventQueue,
     cpus: Vec<CpuState>,
     pairs: Vec<PairState>,
     construct_barrier: Barrier,
@@ -631,10 +444,6 @@ pub struct Engine<'p> {
     regions_dispatched: u64,
     /// CPU-domain event tracer (disabled unless `cfg.trace` is on).
     tracer: Tracer,
-    /// Lookahead horizon in effect (resolved once at build).
-    lookahead: Cycle,
-    /// PDES scheduling diagnostics (stays zeroed on the serial path).
-    pdes: PdesDiag,
     /// Memoized-phase-replay runtime state (inert without a plan).
     memo: MemoRt,
 }
@@ -805,16 +614,7 @@ const MASTER: usize = 0; // the master's OpenMP thread id
 
 impl<'p> Engine<'p> {
     /// Build an engine for a compiled program.
-    pub fn new(cp: &'p CompiledProgram, mut cfg: EngineConfig) -> Self {
-        // The legacy injection interface maps onto wander faults.
-        for &(tid, epoch) in &cfg.inject_divergence {
-            cfg.faults.events.push(FaultEvent {
-                kind: FaultKind::Wander,
-                tid,
-                seq: epoch,
-                arg: 0,
-            });
-        }
+    pub fn new(cp: &'p CompiledProgram, cfg: EngineConfig) -> Self {
         let fault_fired = vec![false; cfg.faults.events.len()];
         let layout = TeamLayout::new(&cfg.machine, cfg.mode).with_max_threads(cfg.env.num_threads);
         let mut ms = MemSystem::new(&cfg.machine);
@@ -822,26 +622,6 @@ impl<'p> Engine<'p> {
         ms.set_trace(&cfg.trace);
         let map = AddressMap::new(&cfg.machine);
         let base_line = cp.runtime_base / map.line_bytes();
-        // workers > 1 swaps in the per-CMP domain queues (identical pop
-        // order; see `Q`) and records the run's PDES configuration. The
-        // serial path keeps the flat heap untouched.
-        let workers = cfg.workers.max(1);
-        let lookahead = cfg
-            .lookahead
-            .unwrap_or_else(|| dsm_sim::lookahead_cycles(&cfg.machine));
-        let q = if workers > 1 {
-            Q::Domains(DomainQueues::new(
-                cfg.machine.num_cmps,
-                cfg.machine.cpus_per_cmp,
-            ))
-        } else {
-            Q::Serial(EventQueue::new())
-        };
-        let pdes = PdesDiag {
-            workers,
-            lookahead: if workers > 1 { lookahead } else { 0 },
-            ..PdesDiag::default()
-        };
         // Arm the memo plan only when nothing can perturb the certified
         // iteration dynamics: no mutation, faults, OS noise, or tracing,
         // and a deterministic single/double run (slipstream pairs have
@@ -863,7 +643,7 @@ impl<'p> Engine<'p> {
             layout,
             map,
             ms,
-            q,
+            q: EventQueue::new(),
             cpus: Vec::new(),
             pairs: Vec::new(),
             construct_barrier: Barrier::new(1, 0),
@@ -890,8 +670,6 @@ impl<'p> Engine<'p> {
             fault_fired,
             regions_dispatched: 0,
             tracer: Tracer::new(&cfg.trace, TrackDomain::Cpu),
-            lookahead,
-            pdes,
             memo,
             cfg,
         };
@@ -1237,6 +1015,12 @@ impl<'p> Engine<'p> {
         );
     }
 
+    /// Pair `p`'s semaphore count as a trace event carries it: a count
+    /// past `i64::MAX` (a huge initial allocation) saturates.
+    fn traced_token_count(&self, p: usize) -> i64 {
+        i64::try_from(self.pairs[p].tokens.count()).unwrap_or(i64::MAX)
+    }
+
     /// Trace an A-stream token consume (with the post-consume semaphore
     /// count) plus the resulting lead sample.
     fn trace_token_consume(&mut self, ci: usize, p: usize) {
@@ -1244,7 +1028,7 @@ impl<'p> Engine<'p> {
             return;
         }
         let t = self.cpus[ci].timeline.now();
-        let count = self.pairs[p].tokens.count() as i64;
+        let count = self.traced_token_count(p);
         self.tracer.record(
             t,
             ci as u32,
@@ -1541,90 +1325,6 @@ impl<'p> Engine<'p> {
         false
     }
 
-    /// Closed-form replay of a constant-compute `for` run (PDES pure
-    /// prefix, `workers > 1` only). The serial batched loop retires one
-    /// iteration per `overhead + cyc` cycles and re-checks `must_bail`
-    /// between iterations; since nothing inside the run mutates shared
-    /// state, its timeline is an arithmetic progression and the first
-    /// bail point is computable without stepping. Retiring `k`
-    /// iterations as one batch is exact: the induction variable keeps
-    /// only its last write, op counts and time-class buckets are
-    /// additive, and contiguous same-class spans coalesce in the trace
-    /// log ([`sim_trace::SpanLog::note`]) — so stats, fingerprints, and
-    /// traces all match the serial loop bit for bit.
-    // The `stride == 0` arm is a semantic case split (time never
-    // advances), not a checked-division guard — `checked_div` would
-    // obscure that, so the lint is silenced rather than followed.
-    #[allow(clippy::too_many_arguments, clippy::manual_checked_ops)]
-    fn replay_const_run(
-        &mut self,
-        ci: usize,
-        var: VarId,
-        cur: i64,
-        end: i64,
-        step: u64,
-        body: NodeId,
-        stop_at: i64,
-        cyc: u64,
-        overhead: u64,
-    ) {
-        let stride = overhead + cyc;
-        let start = self.cpus[ci].timeline.now();
-        // Iterations left by the induction bound alone: values `cur`,
-        // `cur + step`, ... strictly below `stop_at`. The caller enters
-        // this arm only when `cur < end <= stop_at`, so `n >= 1`.
-        let span = (stop_at as i128) - (cur as i128);
-        let n = ((span + step as i128 - 1) / step as i128).min(u64::MAX as i128) as u64;
-        // First k (iterations retired) at which the serial loop would
-        // bail *between* iterations; MAX = runs to the induction bound.
-        let mut k_bail = u64::MAX;
-        if stride == 0 {
-            // Time never advances, so the bail predicates are constant;
-            // they are only consulted after an iteration retires.
-            if self.must_bail(ci) {
-                k_bail = 1;
-            }
-        } else {
-            let mc = self.cfg.max_cycles;
-            k_bail = k_bail.min(if start > mc {
-                1
-            } else {
-                (mc - start) / stride + 1
-            });
-            if let Some(h) = self.q.peek_time() {
-                k_bail = k_bail.min(if start > h {
-                    1
-                } else {
-                    (h - start) / stride + 1
-                });
-            }
-            if self.cfg.os_noise.is_some() {
-                let ni = self.cpus[ci].next_interrupt;
-                let k = if start >= ni {
-                    1
-                } else {
-                    (ni - start).div_ceil(stride).max(1)
-                };
-                k_bail = k_bail.min(k);
-            }
-        }
-        let k = n.min(k_bail);
-        self.cpus[ci].vars[var.0 as usize] = cur + (k as i64 - 1) * step as i64;
-        self.cpus[ci].user.compute_cycles += k * cyc;
-        self.busy(ci, k * stride, TimeClass::Busy);
-        self.pdes.ff_pieces += 1;
-        self.pdes.ff_iters += k;
-        if k < n {
-            self.cpus[ci].frames.push(Frame::For {
-                var,
-                cur: cur + k as i64 * step as i64,
-                end,
-                step,
-                body,
-            });
-        }
-    }
-
     /// A-stream shared store: convert to a read-exclusive prefetch when in
     /// the same barrier session as the R-stream and an MSHR is free;
     /// otherwise skip (paper Section 5.1).
@@ -1807,21 +1507,6 @@ impl<'p> Engine<'p> {
                     if step > 0 {
                         match cp.ops[body.0 as usize] {
                             Op::ComputeConst(cyc) => {
-                                if self.cfg.workers > 1 {
-                                    // PDES pure-prefix replay: the whole
-                                    // run below is an arithmetic
-                                    // progression in time, so the first
-                                    // bail point is computable in O(1)
-                                    // and the retired prefix commits as
-                                    // one batch — bit-identical to the
-                                    // serial loop (see DESIGN.md §13).
-                                    // It pushes its own continuation.
-                                    self.cpus[ci].frames.pop();
-                                    self.replay_const_run(
-                                        ci, var, cur, end, step, body, stop_at, cyc, overhead,
-                                    );
-                                    return;
-                                }
                                 let mut cur = cur;
                                 loop {
                                     self.cpus[ci].vars[var.0 as usize] = cur;
@@ -1991,7 +1676,7 @@ impl<'p> Engine<'p> {
                     // empty semaphore. The barrier watchdog is the backstop.
                     if self.tracer.is_on() {
                         let t = self.cpus[ci].timeline.now();
-                        let count = self.pairs[p].tokens.count() as i64;
+                        let count = self.traced_token_count(p);
                         self.tracer.record(
                             t,
                             ci as u32,
@@ -2016,7 +1701,7 @@ impl<'p> Engine<'p> {
                 };
                 let t = self.cpus[ci].timeline.now();
                 if self.tracer.is_on() {
-                    let count = self.pairs[p].tokens.count() as i64;
+                    let count = self.traced_token_count(p);
                     self.tracer.record(
                         t,
                         ci as u32,
@@ -3323,117 +3008,23 @@ impl<'p> Engine<'p> {
 
     // -------------------------------------------------------- main loop --
 
-    /// One conservative window on the parallel path: find the domains
-    /// whose fronts lie within the lookahead horizon of the global
-    /// frontier and record the admission diagnostics. A sample of the
-    /// multi-domain windows is handed to the scout worker pool, which
-    /// classifies each admitted front's next work (CPU-private compute,
-    /// domain-local access, or a directory/network boundary crossing)
-    /// with read-only probes. The window bounds what *may* run
-    /// concurrently; commits stay in global event order.
-    fn form_window(&mut self) {
-        /// Every how-many multi-domain windows the scout pool runs (the
-        /// probes are read-only, so sampling only trades diagnostic
-        /// resolution against thread-dispatch overhead).
-        const SCOUT_SAMPLE: u64 = 64;
-        let Q::Domains(q) = &self.q else { return };
-        if q.is_empty() {
-            return;
-        }
-        // Hot path: admission is a count; the domain list is only
-        // materialized for the sampled windows below.
-        let admitted = q.count_within(self.lookahead);
-        self.pdes.windows += 1;
-        self.pdes.peak_window_domains = self.pdes.peak_window_domains.max(admitted);
-        if admitted < 2 {
-            return;
-        }
-        self.pdes.multi_domain_windows += 1;
-        if self.pdes.multi_domain_windows % SCOUT_SAMPLE != 1 {
-            return;
-        }
-        let fronts: Vec<usize> = q
-            .domains_within(self.lookahead)
-            .iter()
-            .filter_map(|&d| q.domain_front(d).map(|(_, c)| c.0))
-            .collect();
-        let tally = self.scout_window(&fronts);
-        self.pdes.scouted_windows += 1;
-        self.pdes.scout_pure += tally[ScoutClass::Pure as usize];
-        self.pdes.scout_local += tally[ScoutClass::Local as usize];
-        self.pdes.scout_boundary += tally[ScoutClass::Boundary as usize];
-        self.pdes.scout_other += tally[ScoutClass::Other as usize];
-    }
-
-    /// Classify the admitted fronts on the scout worker pool: the
-    /// read-only probes fan out across up to `workers` threads sharing
-    /// the engine state immutably. Per-class tallies are summed, so the
-    /// result is independent of thread count and OS scheduling.
-    fn scout_window(&self, fronts: &[usize]) -> [u64; 4] {
-        let cp = self.cp;
-        let ms = &self.ms;
-        let map = &self.map;
-        let cpus = &self.cpus;
-        let nthreads = self.layout.team_size() as i64;
-        // A classification probe is a few hundred nanoseconds; a scoped
-        // thread spawn is tens of microseconds. Fan out only when each
-        // helper gets enough fronts to amortize its spawn — small
-        // machines (few domains) always classify inline.
-        const SCOUT_THREAD_MIN: usize = 8;
-        let workers = if fronts.len() >= SCOUT_THREAD_MIN {
-            self.cfg.workers.min(fronts.len()).max(1)
-        } else {
-            1
-        };
-        let chunk = fronts.len().div_ceil(workers);
-        let mut tally = [0u64; 4];
-        if workers == 1 {
-            for &ci in fronts {
-                tally[scout_classify(cp, ms, map, cpus, nthreads, ci) as usize] += 1;
-            }
-            return tally;
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = fronts
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut t = [0u64; 4];
-                        for &ci in part {
-                            t[scout_classify(cp, ms, map, cpus, nthreads, ci) as usize] += 1;
-                        }
-                        t
-                    })
-                })
-                .collect();
-            for h in handles {
-                let t = h.join().expect("scout thread panicked");
-                for (acc, v) in tally.iter_mut().zip(t) {
-                    *acc += v;
-                }
-            }
-        });
-        tally
-    }
-
     /// The event loop: commit scheduler events in global `(time, seq,
     /// cpu)` order until the queue drains, the master finishes, or —
     /// when `limit` is set — the next event's time reaches `limit`.
     ///
-    /// The limit check runs *before* window formation and the pop, so
-    /// stopping at a boundary leaves every piece of engine state exactly
-    /// as an uninterrupted run has it when its frontier first reaches
-    /// that time: a `pump(Some(t))` followed by `pump(None)` is
-    /// state-for-state identical to a single `pump(None)`.
+    /// The limit check runs *before* the pop, so stopping at a boundary
+    /// leaves every piece of engine state exactly as an uninterrupted run
+    /// has it when its frontier first reaches that time: a
+    /// `pump(Some(t))` followed by `pump(None)` is state-for-state
+    /// identical to a single `pump(None)`.
     ///
-    /// On the serial heap a self-yield is carried to the next iteration
-    /// and queued by the fused [`EventQueue::push_pop`]. It is later than
-    /// the heap top, so the limit check above it sees the same frontier,
-    /// and it takes the same sequence stamp `schedule` would have given
-    /// it (nothing is scheduled in between). Any exit with a yield still
-    /// carried queues it, so callers never see the difference.
+    /// A self-yield is carried to the next iteration and queued by the
+    /// fused [`EventQueue::push_pop`]. It is later than the heap top, so
+    /// the limit check above it sees the same frontier, and it takes the
+    /// same sequence stamp `schedule` would have given it (nothing is
+    /// scheduled in between). Any exit with a yield still carried queues
+    /// it, so callers never see the difference.
     fn pump(&mut self, limit: Option<Cycle>) -> Result<(), String> {
-        let parallel = matches!(self.q, Q::Domains(_));
         let mut carried: Option<(Cycle, CpuId)> = None;
         loop {
             if let Some(lim) = limit {
@@ -3441,14 +3032,6 @@ impl<'p> Engine<'p> {
                     Some(t) if t < lim => {}
                     _ => break,
                 }
-            }
-            // On the parallel path, form the conservative window before
-            // committing the frontier event: record which domains could
-            // step concurrently and scout a sample of them. Admission
-            // never reorders execution — the pop below still commits
-            // events in global `(time, seq, cpu)` order.
-            if parallel {
-                self.form_window();
             }
             let next = match carried.take() {
                 Some((t, cpu)) => {
@@ -3485,11 +3068,7 @@ impl<'p> Engine<'p> {
                 continue; // stale event
             }
             if let Some(wake) = self.run_cpu(cpu.0)? {
-                if parallel {
-                    self.q.schedule(wake, cpu);
-                } else {
-                    carried = Some((wake, cpu));
-                }
+                carried = Some((wake, cpu));
             }
         }
         if let Some((t, cpu)) = carried {
@@ -3645,7 +3224,6 @@ impl<'p> Engine<'p> {
             machine,
             events: self.events,
             trace,
-            pdes: self.pdes,
             memo: self.memo.diag,
         }
     }
@@ -4009,14 +3587,13 @@ impl<'p> Engine<'p> {
 // sweep sharing a warmup prefix can fork from it instead of re-simulating.
 // Everything config-derived (compiled program, machine layout, address
 // map, latencies) is rebuilt by `Engine::new` on restore and validated
-// against an identity hash stored in the snapshot; worker count,
-// lookahead, and cycle/event budgets are deliberately excluded from that
-// hash because the scheduler state is exported queue-neutrally and
-// results are bit-identical across those knobs.
+// against an identity hash stored in the snapshot; the cycle/event
+// budgets are deliberately excluded from that hash because they only
+// bound a run, never shape it.
 
 /// Version of the engine snapshot payload format. Bumped on any change
 /// to the serialized layout; [`Engine::restore`] rejects other versions.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 fn snap_expr(w: &mut snap::Writer, e: &Expr) {
     match e {
@@ -4466,11 +4043,9 @@ fn restore_slip_clause(r: &mut snap::Reader) -> Result<SlipstreamClause, snap::S
 impl<'p> Engine<'p> {
     /// Hash of everything that must match between the snapshotting engine
     /// and a restoring one: the compiled program and every configuration
-    /// field that shapes simulation state. Worker count, lookahead, and
-    /// the cycle/event budgets are excluded — the scheduler state is
-    /// exported queue-neutrally and results are bit-identical across
-    /// them. The fault plan is excluded too (it has its own swap rule;
-    /// see [`Engine::restore`]).
+    /// field that shapes simulation state. The cycle/event budgets are
+    /// excluded — they only bound a run. The fault plan is excluded too
+    /// (it has its own swap rule; see [`Engine::restore`]).
     fn identity_hash(&self) -> u64 {
         use std::fmt::Write as _;
         let c = &self.cfg;
@@ -4495,7 +4070,7 @@ impl<'p> Engine<'p> {
         snap::fnv1a(s.as_bytes())
     }
 
-    /// Hash of the (post-conversion) fault plan, for the swap rule.
+    /// Hash of the fault plan, for the swap rule.
     fn fault_plan_hash(&self) -> u64 {
         snap::fnv1a(format!("{:?}", self.cfg.faults).as_bytes())
     }
@@ -4509,10 +4084,7 @@ impl<'p> Engine<'p> {
         w.u64(self.identity_hash());
         w.u64(self.fault_plan_hash());
         w.seq(&self.fault_fired, |w, b| w.bool(*b));
-        let (events, next_seq) = match &self.q {
-            Q::Serial(q) => q.export(),
-            Q::Domains(q) => q.export(),
-        };
+        let (events, next_seq) = self.q.export();
         w.seq(&events, |w, &(t, s, c)| {
             w.u64(t);
             w.u64(s);
@@ -4554,27 +4126,14 @@ impl<'p> Engine<'p> {
         w.u64(self.sched_steals_total);
         w.u64(self.regions_dispatched);
         self.tracer.snapshot(&mut w);
-        // PDES diagnostics: counters only (workers/lookahead re-derive
-        // from the restoring engine's own configuration).
-        w.u64(self.pdes.windows);
-        w.u64(self.pdes.multi_domain_windows);
-        w.usize(self.pdes.peak_window_domains);
-        w.u64(self.pdes.scouted_windows);
-        w.u64(self.pdes.scout_pure);
-        w.u64(self.pdes.scout_local);
-        w.u64(self.pdes.scout_boundary);
-        w.u64(self.pdes.scout_other);
-        w.u64(self.pdes.ff_pieces);
-        w.u64(self.pdes.ff_iters);
         snap::seal(SNAPSHOT_VERSION, &w.into_bytes())
     }
 
     /// Rebuild an engine from a snapshot taken by [`Engine::snapshot`].
     ///
     /// `cp` and `cfg` must describe the same simulation the snapshot was
-    /// taken from (validated by the stored identity hash), with three
-    /// allowed differences: `workers`/`lookahead` (scheduler state is
-    /// queue-neutral), the cycle/event budgets, and the fault plan —
+    /// taken from (validated by the stored identity hash), with two
+    /// allowed differences: the cycle/event budgets, and the fault plan —
     /// which may be *swapped* for a different one only while no fault of
     /// the stored plan has fired yet (so a fault-free warmup can fork
     /// into many differently-faulted continuations).
@@ -4617,15 +4176,7 @@ impl<'p> Engine<'p> {
         }
         let events = r.seq(|r| Ok((r.u64()?, r.u64()?, CpuId(r.usize()?))))?;
         let next_seq = r.u64()?;
-        self.q = match &self.q {
-            Q::Serial(_) => Q::Serial(EventQueue::import(&events, next_seq)),
-            Q::Domains(_) => Q::Domains(DomainQueues::import(
-                &events,
-                next_seq,
-                self.cfg.machine.num_cmps,
-                self.cfg.machine.cpus_per_cmp,
-            )),
-        };
+        self.q = EventQueue::import(&events, next_seq);
         self.ms.restore_into(r)?;
         let ncpus = r.usize()?;
         if ncpus != self.cpus.len() {
@@ -4671,16 +4222,6 @@ impl<'p> Engine<'p> {
         self.sched_steals_total = r.u64()?;
         self.regions_dispatched = r.u64()?;
         self.tracer = Tracer::restore(r)?;
-        self.pdes.windows = r.u64()?;
-        self.pdes.multi_domain_windows = r.u64()?;
-        self.pdes.peak_window_domains = r.usize()?;
-        self.pdes.scouted_windows = r.u64()?;
-        self.pdes.scout_pure = r.u64()?;
-        self.pdes.scout_local = r.u64()?;
-        self.pdes.scout_boundary = r.u64()?;
-        self.pdes.scout_other = r.u64()?;
-        self.pdes.ff_pieces = r.u64()?;
-        self.pdes.ff_iters = r.u64()?;
         Ok(())
     }
 }

@@ -155,8 +155,8 @@ impl FaultPlan {
         self
     }
 
-    /// A single A-stream wander at `(tid, epoch)` — the legacy
-    /// `inject_divergence` behaviour.
+    /// A single A-stream wander: pair `tid`'s A-stream diverges instead
+    /// of skipping its `epoch`-th construct barrier.
     pub fn wander_at(tid: u64, epoch: u64) -> Self {
         FaultPlan::none().with(FaultEvent {
             kind: FaultKind::Wander,

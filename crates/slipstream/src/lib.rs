@@ -34,9 +34,7 @@ pub mod report;
 pub mod runner;
 
 pub use compile::{compile, CompiledProgram};
-pub use exec::{
-    Engine, EngineConfig, EngineMutation, OsNoise, PdesDiag, RunResult, SNAPSHOT_VERSION,
-};
+pub use exec::{Engine, EngineConfig, EngineMutation, OsNoise, RunResult, SNAPSHOT_VERSION};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, PairLedger};
 pub use memo::{build_plan, MemoDiag, MemoLoop, MemoPlan};
 pub use pairing::{Decision, PairState};
@@ -44,7 +42,7 @@ pub use policy::{AAction, AStreamPolicy, RecoveryPolicy};
 pub use report::stats_fingerprint;
 pub use runner::{
     checkpoint_compiled, checkpoint_program, resume_compiled, resume_program, run_program,
-    workers_from_env, Checkpoint, RunOptions, RunSummary,
+    Checkpoint, RunOptions, RunSummary,
 };
 
 // Safety-gate vocabulary (the analyzer entry point itself stays at

@@ -71,8 +71,8 @@ impl MemoPlan {
 }
 
 /// What the memo runtime did during a run. Observation-only — excluded
-/// from stats fingerprints, like traces and PDES diagnostics — and all
-/// zeros when no plan was installed.
+/// from stats fingerprints, like traces — and all zeros when no plan was
+/// installed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoDiag {
     /// Non-internal barrier releases inspected while a plan was armed.

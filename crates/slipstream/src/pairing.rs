@@ -228,9 +228,10 @@ impl PairState {
 
     /// Divergence heuristic evaluated by the R-stream at a barrier: tokens
     /// accumulating unconsumed beyond the initial allocation plus slack
-    /// mean the A-stream is no longer visiting barriers.
+    /// mean the A-stream is no longer visiting barriers. The bound
+    /// saturates, so a huge initial allocation never trips it.
     pub fn divergence_suspected(&self, slack: u64) -> bool {
-        self.tokens.count() > self.sync.tokens + slack
+        self.tokens.count() > self.sync.tokens.saturating_add(slack)
     }
 
     /// Publish a scheduling decision (R-stream side). Returns the parked

@@ -127,9 +127,9 @@ pub fn trace_report(r: &RunResult) -> Option<String> {
 /// execution time, both time breakdowns, per-CPU cache/sync counters,
 /// user-level op totals for both streams, the fill classification,
 /// scheduler and resilience counters, and the machine-wide traffic
-/// counters. Observation-only diagnostics (traces, PDES scheduling
-/// stats, memo replay stats, processed-event and lock-acquisition
-/// counts) are deliberately outside the contract.
+/// counters. Observation-only diagnostics (traces, memo replay stats,
+/// processed-event and lock-acquisition counts) are deliberately outside
+/// the contract.
 pub fn stats_fingerprint(s: &RunSummary) -> String {
     use dsm_sim::{ReqKind, FILL_CLASSES, TIME_CLASSES};
     let mut v: Vec<u64> = vec![s.exec_cycles];
@@ -225,7 +225,6 @@ mod tests {
                 machine: dsm_sim::MachineCounters::default(),
                 events: 0,
                 trace: None,
-                pdes: Default::default(),
                 memo: Default::default(),
             },
         }

@@ -33,10 +33,7 @@ pub struct RunOptions {
     pub env: RuntimeEnv,
     /// A-stream construct policy (ablations flip rows).
     pub policy: AStreamPolicy,
-    /// Divergence fault injection: `(tid, epoch)` points. Legacy shorthand
-    /// for a [`FaultPlan`] of wander events; both are honoured.
-    pub inject_divergence: Vec<(u64, u64)>,
-    /// General fault-injection plan (see [`crate::faults`]).
+    /// Fault-injection plan (see [`crate::faults`]).
     pub faults: FaultPlan,
     /// Divergence detection / recovery knobs (watchdog, retry budget).
     pub recovery: RecoveryPolicy,
@@ -61,16 +58,9 @@ pub struct RunOptions {
     /// Seeded engine-mutation class (fuzzer self-check only). The
     /// default, [`EngineMutation::None`], is the production engine.
     pub mutation: EngineMutation,
-    /// PDES worker threads for the simulation engine. `1` (the default)
-    /// is the serial fast path; `> 1` enables the per-CMP time-domain
-    /// scheduler. Results are bit-identical at every worker count. See
-    /// [`workers_from_env`] for the `SIM_WORKERS` resolution used by
-    /// harnesses.
+    /// Engine threads. The engine is serial; must be 1. Every runner
+    /// entry point returns `Err` for any other value.
     pub workers: usize,
-    /// Override the PDES lookahead horizon in cycles (`None` derives it
-    /// from the machine's minimum remote-hop latency; `Some(0)` forces
-    /// lockstep window admission). Only meaningful with `workers > 1`.
-    pub lookahead: Option<Cycle>,
     /// Memoized phase replay (default off). When on, the run analyzes the
     /// program once in full ([`omp_analyze::analyze`]: hazard passes plus
     /// certification), takes the gate decision from that report, and
@@ -93,7 +83,6 @@ impl RunOptions {
             sync: None,
             env: RuntimeEnv::default(),
             policy: AStreamPolicy::paper(),
-            inject_divergence: Vec::new(),
             faults: FaultPlan::none(),
             recovery: RecoveryPolicy::paper(),
             os_noise: None,
@@ -102,15 +91,8 @@ impl RunOptions {
             max_cycles: None,
             mutation: EngineMutation::None,
             workers: 1,
-            lookahead: None,
             memo: false,
         }
-    }
-
-    /// Set the PDES worker count (`1` = serial fast path; floored at 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Cap the run at `cycles` simulated cycles (hang watchdog for
@@ -225,28 +207,6 @@ impl RunSummary {
     }
 }
 
-/// Resolve the `SIM_WORKERS` environment variable into an engine worker
-/// count for a harness already running `pool_workers` simulations
-/// concurrently. Unset or unparsable means `1` (the serial fast path);
-/// `0` means "use all available parallelism". The result is clamped so
-/// `pool_workers × engine workers` never oversubscribes the host
-/// ([`dsm_sim::clamp_workers`]); the clamp respects `BENCH_WORKERS`
-/// when the caller passes a bound derived from it.
-pub fn workers_from_env(pool_workers: usize) -> usize {
-    let requested: usize = std::env::var("SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    dsm_sim::clamp_workers(
-        dsm_sim::resolve_workers(requested, available),
-        pool_workers,
-        available,
-    )
-}
-
 fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
     match (mode, sync) {
         (ExecMode::Slipstream, Some(s)) => format!("slip-{}", s.label()),
@@ -282,7 +242,7 @@ fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
 /// assert_eq!(summary.raw.user_a.loads, 256); // the A-streams prefetched it
 /// ```
 pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
     // The gate needs only the hazard passes. Memoized replay also needs
     // the certification pass's replay-loop licenses, so a memo run
@@ -310,9 +270,16 @@ pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, S
     Ok(summary)
 }
 
-/// Reject a machine [`MachineConfig::validate`] refuses, before any
-/// analysis, compile or engine build can trip over it.
-fn check_machine(opts: &RunOptions) -> Result<(), String> {
+/// Reject options the engine cannot run — a machine
+/// [`MachineConfig::validate`] refuses, or a worker count other than 1 —
+/// before any analysis, compile or engine build can trip over them.
+fn check_options(opts: &RunOptions) -> Result<(), String> {
+    if opts.workers != 1 {
+        return Err(format!(
+            "invalid workers: {} (the engine is serial; must be 1)",
+            opts.workers
+        ));
+    }
     opts.machine
         .validate()
         .map_err(|e| format!("invalid machine: {e}"))
@@ -324,7 +291,6 @@ fn engine_config(opts: &RunOptions) -> EngineConfig {
     let mut cfg = EngineConfig::new(opts.machine.clone(), opts.mode);
     cfg.env = opts.env.clone();
     cfg.policy = opts.policy;
-    cfg.inject_divergence = opts.inject_divergence.clone();
     cfg.faults = opts.faults.clone();
     cfg.recovery = opts.recovery;
     cfg.os_noise = opts.os_noise;
@@ -333,8 +299,6 @@ fn engine_config(opts: &RunOptions) -> EngineConfig {
         cfg.max_cycles = mc;
     }
     cfg.mutation = opts.mutation;
-    cfg.workers = opts.workers.max(1);
-    cfg.lookahead = opts.lookahead;
     if let Some(sync) = opts.sync {
         // Route the synchronization choice through OMP_SLIPSTREAM, as the
         // paper's runtime does ("we changed the synchronization method as
@@ -371,7 +335,7 @@ pub fn run_compiled(
     name: String,
     opts: &RunOptions,
 ) -> Result<RunSummary, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let label = mode_label(opts.mode, opts.sync);
     let engine = Engine::new(cp, engine_config(opts));
     let raw = engine.run()?;
@@ -399,7 +363,7 @@ pub fn checkpoint_compiled(
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let mut engine = Engine::new(cp, engine_config(opts));
     let finished = engine.run_until(at_cycle)?;
     Ok(Checkpoint {
@@ -410,18 +374,17 @@ pub fn checkpoint_compiled(
 
 /// Restore an engine from `snapshot` under `opts` and run it to
 /// completion. The options must describe the same simulation the
-/// snapshot was taken from, except for the PDES worker count/lookahead,
-/// the cycle/event budgets, and the fault plan — the latter only while
-/// no fault of the snapshotting plan had fired before the checkpoint
-/// (so a fault-free warmup forks into differently-faulted
-/// continuations).
+/// snapshot was taken from, except for the cycle/event budgets and the
+/// fault plan — the latter only while no fault of the snapshotting plan
+/// had fired before the checkpoint (so a fault-free warmup forks into
+/// differently-faulted continuations).
 pub fn resume_compiled(
     cp: &CompiledProgram,
     name: String,
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let label = mode_label(opts.mode, opts.sync);
     let mut engine = Engine::restore(cp, engine_config(opts), snapshot)?;
     engine.run_until(Cycle::MAX)?;
@@ -436,7 +399,7 @@ pub fn checkpoint_program(
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
     gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
@@ -452,7 +415,7 @@ pub fn resume_program(
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
-    check_machine(opts)?;
+    check_options(opts)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
     resume_compiled(&cp, program.name.clone(), opts, snapshot)

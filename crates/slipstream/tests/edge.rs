@@ -1,17 +1,34 @@
 //! Engine edge cases: degenerate loops, construct nesting, tiny machines,
 //! token extremes, divergence timing, and thread-count caps.
 
-use dsm_sim::MachineConfig;
+use dsm_sim::{AddressMap, MachineConfig};
+use npb_kernels::Benchmark;
+use omp_ir::directive::{parse_directive, Directive};
 use omp_ir::expr::Expr;
 use omp_ir::node::{Node, ScheduleSpec};
-use omp_ir::ProgramBuilder;
+use omp_ir::{Program, ProgramBuilder};
 use omp_rt::{ExecMode, RuntimeEnv, SlipSync};
-use slipstream::runner::{run_program, RunOptions};
+use slipstream::compile;
+use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
+use slipstream::runner::{
+    checkpoint_compiled, resume_compiled, run_compiled, run_program, RunOptions,
+};
+use slipstream::{stats_fingerprint, TraceConfig, TraceEvent};
 
 fn machine(cmps: usize) -> MachineConfig {
     let mut m = MachineConfig::paper();
     m.num_cmps = cmps;
     m
+}
+
+/// An A-stream wander on pair `tid` at its `epoch`-th construct barrier.
+fn wander(tid: u64, epoch: u64) -> FaultEvent {
+    FaultEvent {
+        kind: FaultKind::Wander,
+        tid,
+        seq: epoch,
+        arg: 0,
+    }
 }
 
 fn all_modes(p: &omp_ir::Program, m: &MachineConfig) -> Vec<slipstream::runner::RunSummary> {
@@ -117,6 +134,37 @@ fn zero_cmp_machine_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn more_than_one_worker_is_an_error() {
+    // The engine is serial: every runner entry point refuses
+    // `workers != 1` before it builds anything.
+    let mut b = ProgramBuilder::new("workers");
+    let a = b.shared_array("a", 64, 8);
+    let i = b.var();
+    b.parallel(move |r| {
+        r.par_for(None, i, 0, 64, move |body| body.load(a, Expr::v(i)));
+    });
+    let p = b.build();
+    let serial = RunOptions::new(ExecMode::Slipstream).with_machine(machine(4));
+    let cp = compile(&p, &AddressMap::new(&serial.machine)).unwrap();
+    let ck = checkpoint_compiled(&cp, &serial, 1).unwrap();
+    let mut o = serial.clone();
+    o.workers = 2;
+    let name = || p.name.clone();
+    for (entry, err) in [
+        ("run_program", run_program(&p, &o).err()),
+        ("run_compiled", run_compiled(&cp, name(), &o).err()),
+        ("checkpoint_compiled", checkpoint_compiled(&cp, &o, 1).err()),
+        (
+            "resume_compiled",
+            resume_compiled(&cp, name(), &o, &ck.bytes).err(),
+        ),
+    ] {
+        let err = err.unwrap_or_else(|| panic!("{entry} accepted workers = 2"));
+        assert!(err.contains("workers"), "{entry}: {err}");
+    }
+}
+
+#[test]
 fn deep_sequential_nesting() {
     let mut b = ProgramBuilder::new("deep");
     let a = b.shared_array("a", 16, 8);
@@ -174,6 +222,76 @@ fn many_tokens_never_deadlock() {
     }
 }
 
+/// Run every tiny NPB kernel in slipstream mode, traced and untraced,
+/// once with `u64::MAX` initial tokens and once with 1,000,000.
+/// `configure` returns the program and options that set the count. The
+/// huge count must neither overflow nor trip the divergence heuristic:
+/// no recoveries, the same simulation as the million-token run, and no
+/// negative semaphore count in the trace.
+fn max_tokens_match_a_million(
+    what: &str,
+    configure: impl Fn(Program, u64) -> (Program, RunOptions),
+) {
+    for bm in Benchmark::ALL {
+        for trace in [TraceConfig::OFF, TraceConfig::on()] {
+            let run = |tokens: u64| {
+                let (p, o) = configure(bm.build_tiny(), tokens);
+                run_program(&p, &o.with_trace(trace))
+                    .unwrap_or_else(|e| panic!("{what} {} tokens={tokens}: {e}", bm.name()))
+            };
+            let max = run(u64::MAX);
+            let million = run(1_000_000);
+            assert_eq!(max.raw.recoveries, 0, "{what} {} {trace:?}", bm.name());
+            let events = max.raw.trace.iter().flat_map(|t| &t.events);
+            for e in events {
+                if let TraceEvent::TokenInsert { count, .. }
+                | TraceEvent::TokenConsume { count, .. } = e.ev
+                {
+                    assert!(count >= 0, "{what} {}: traced count {count}", bm.name());
+                }
+            }
+            assert_eq!(
+                stats_fingerprint(&max),
+                stats_fingerprint(&million),
+                "{what} {} {trace:?}",
+                bm.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn max_tokens_through_omp_slipstream() {
+    for sync in ["GLOBAL_SYNC", "LOCAL_SYNC"] {
+        max_tokens_match_a_million(sync, |p, tokens| {
+            let mut env = RuntimeEnv::default();
+            env.set_var("OMP_SLIPSTREAM", &format!("{sync},{tokens}"))
+                .unwrap();
+            let o = RunOptions::new(ExecMode::Slipstream)
+                .with_machine(machine(4))
+                .with_env(env);
+            (p, o)
+        });
+    }
+}
+
+#[test]
+fn max_tokens_through_the_slipstream_directive() {
+    for sync in ["GLOBAL_SYNC", "LOCAL_SYNC"] {
+        max_tokens_match_a_million(sync, |mut p, tokens| {
+            let text = format!("SLIPSTREAM({sync}, {tokens})");
+            let Directive::Slipstream(clause) = parse_directive(&text).unwrap() else {
+                panic!("{text} is not a slipstream directive");
+            };
+            // The directive heads the program; the options leave the
+            // sync to it.
+            p.body = Node::Seq(vec![Node::SlipstreamSet(clause), p.body]);
+            let o = RunOptions::new(ExecMode::Slipstream).with_machine(machine(4));
+            (p, o)
+        });
+    }
+}
+
 #[test]
 fn divergence_at_first_and_last_epoch() {
     let mut b = ProgramBuilder::new("div");
@@ -186,10 +304,10 @@ fn divergence_at_first_and_last_epoch() {
     });
     let p = b.build();
     for epoch in [0u64, 3] {
-        let mut o = RunOptions::new(ExecMode::Slipstream)
+        let o = RunOptions::new(ExecMode::Slipstream)
             .with_machine(machine(4))
-            .with_sync(SlipSync::G0);
-        o.inject_divergence = vec![(0, epoch), (2, epoch)];
+            .with_sync(SlipSync::G0)
+            .with_faults(FaultPlan::wander_at(0, epoch).with(wander(2, epoch)));
         let r = run_program(&p, &o).unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
         assert!(r.raw.recoveries >= 2, "epoch {epoch}: both pairs recovered");
         assert_eq!(r.raw.user_r.loads, 4 * 64);
@@ -209,10 +327,10 @@ fn divergence_during_dynamic_loop_recovers() {
         r.par_for(None, i, 0, 64, move |body| body.load(a, Expr::v(i)));
     });
     let p = b.build();
-    let mut o = RunOptions::new(ExecMode::Slipstream)
+    let o = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine(4))
-        .with_sync(SlipSync::G0);
-    o.inject_divergence = vec![(1, 1)];
+        .with_sync(SlipSync::G0)
+        .with_faults(FaultPlan::wander_at(1, 1));
     let r = run_program(&p, &o).unwrap();
     assert!(r.raw.recoveries >= 1);
     assert_eq!(r.raw.user_r.loads, 3 * 64);
@@ -419,10 +537,10 @@ fn recovery_resets_stale_handshake_tokens() {
     });
     let p = b.build();
     for epoch in [1u64, 2] {
-        let mut o = RunOptions::new(ExecMode::Slipstream)
+        let o = RunOptions::new(ExecMode::Slipstream)
             .with_machine(machine(4))
-            .with_sync(SlipSync::G0);
-        o.inject_divergence = vec![(0, epoch), (3, epoch)];
+            .with_sync(SlipSync::G0)
+            .with_faults(FaultPlan::wander_at(0, epoch).with(wander(3, epoch)));
         let r = run_program(&p, &o).unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
         assert!(r.raw.recoveries >= 2, "epoch {epoch}");
         assert_eq!(r.raw.user_r.loads, 4 * 64);

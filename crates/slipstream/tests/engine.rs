@@ -8,6 +8,7 @@ use omp_ir::node::{Program, ReductionOp, ScheduleSpec};
 use omp_ir::trace::trace;
 use omp_ir::ProgramBuilder;
 use omp_rt::{ExecMode, RuntimeEnv, SlipSync};
+use slipstream::faults::FaultPlan;
 use slipstream::runner::{run_figure2_modes, run_program, RunOptions};
 
 /// A memory-bound streaming kernel: two iterations over a shared grid
@@ -261,11 +262,11 @@ fn constructs_execute_correct_number_of_times() {
 #[test]
 fn divergence_recovery_completes_the_run() {
     let p = stream_kernel(512, 2, 4);
-    let mut opts = RunOptions::new(ExecMode::Slipstream)
-        .with_machine(small_machine())
-        .with_sync(SlipSync::G0);
     // Inject divergence on pair 1 at its second construct barrier.
-    opts.inject_divergence = vec![(1, 1)];
+    let opts = RunOptions::new(ExecMode::Slipstream)
+        .with_machine(small_machine())
+        .with_sync(SlipSync::G0)
+        .with_faults(FaultPlan::wander_at(1, 1));
     let r = run_program(&p, &opts).unwrap();
     assert!(r.raw.recoveries >= 1, "the diverged A-stream was recovered");
     // The run still produces correct R-side semantics.

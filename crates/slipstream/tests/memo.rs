@@ -63,7 +63,7 @@ fn memo_engages_and_stays_bit_identical_on_certified_loop() {
 }
 
 #[test]
-fn memo_bit_identity_npb_kernels_all_modes_and_workers() {
+fn memo_bit_identity_npb_kernels_all_modes() {
     let machine = small_machine();
     let modes: [(ExecMode, Option<SlipSync>); 4] = [
         (ExecMode::Single, None),
@@ -74,26 +74,21 @@ fn memo_bit_identity_npb_kernels_all_modes_and_workers() {
     for bm in Benchmark::ALL {
         let p = bm.build_tiny();
         for (mode, sync) in modes {
-            for workers in [1usize, 4] {
-                let mut opts = RunOptions::new(mode)
-                    .with_machine(machine.clone())
-                    .with_workers(workers);
-                if let Some(s) = sync {
-                    opts = opts.with_sync(s);
-                }
-                let (off_fp, _) = fingerprints(&p, &opts);
-                let (on_fp, on) = fingerprints(&p, &opts.clone().with_memo(true));
-                assert_eq!(
-                    off_fp,
-                    on_fp,
-                    "{} {:?} sync={:?} workers={} diverged under memo (diag {:?})",
-                    bm.name(),
-                    mode,
-                    sync,
-                    workers,
-                    on.raw.memo,
-                );
+            let mut opts = RunOptions::new(mode).with_machine(machine.clone());
+            if let Some(s) = sync {
+                opts = opts.with_sync(s);
             }
+            let (off_fp, _) = fingerprints(&p, &opts);
+            let (on_fp, on) = fingerprints(&p, &opts.clone().with_memo(true));
+            assert_eq!(
+                off_fp,
+                on_fp,
+                "{} {:?} sync={:?} diverged under memo (diag {:?})",
+                bm.name(),
+                mode,
+                sync,
+                on.raw.memo,
+            );
         }
     }
 }

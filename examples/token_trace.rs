@@ -71,9 +71,9 @@ fn main() {
     // insert/consume, and the per-pair lead all land in the trace.
     let mut o = RunOptions::new(ExecMode::Slipstream)
         .with_machine(machine)
-        .with_trace(TraceConfig::on());
+        .with_trace(TraceConfig::on())
+        .with_faults(FaultPlan::wander_at(3, 3));
     o.sync = Some(SlipSync::G0);
-    o.inject_divergence = vec![(3, 3)];
     let r = run_program(&program, &o).unwrap();
     println!(
         "\nwith an injected divergence on pair 3 at epoch 3:\n  recoveries performed: {}\n  recovery cycles charged: {}\n  run still completes with correct R-side work: {} loads",
