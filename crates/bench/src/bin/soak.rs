@@ -305,7 +305,7 @@ fn main() {
                 eprintln!("soak: skipping corpus file {name}: invalid program: {e}");
                 continue;
             }
-            let report = omp_analyze::analyze_hazards(
+            let report = omp_analyze::analyze(
                 &program,
                 &omp_analyze::AnalyzeConfig::paper().with_threads(TEAM),
             );

@@ -6,14 +6,12 @@
 //! per second of host wall time. Writes `BENCH_throughput.json` at the
 //! repo root so the perf trajectory is tracked across PRs.
 //!
-//! Each pair runs with memo off and on. The header carries the host's
-//! core count, so trajectory scripts can tell a 1-core CI box from a
-//! 32-core workstation. Memo-off rows hash to exactly the historical
-//! configuration string and stay comparable across PRs; memo-on rows
-//! extend the canonical string with `|memo=on` and form their own
-//! trajectories. The tracker also cross-checks stats fingerprints
-//! between the two and aborts on any divergence — a throughput number
-//! from a wrong simulation is worse than none.
+//! The header carries the host's core count, so trajectory scripts can
+//! tell a 1-core CI box from a 32-core workstation. Rows hash to the
+//! historical configuration string and stay comparable across PRs. The
+//! tracker cross-checks the stats fingerprints of a pair's repeated runs
+//! and aborts on any divergence — a throughput number from a
+//! nondeterministic simulation is worse than none.
 //!
 //! Environment:
 //! - `THROUGHPUT_PRESET`: `tiny` (default) or `paper` workload presets.
@@ -42,10 +40,6 @@ struct Row {
     /// false here; the field exists so traced one-off numbers can never
     /// masquerade as baseline throughput).
     trace: bool,
-    /// Whether memoized phase replay was enabled. Memo-on rows measure
-    /// the replay speedup; their stats fingerprints are cross-checked
-    /// against the memo-off rows before any number is written.
-    memo: bool,
 }
 
 impl Row {
@@ -57,7 +51,7 @@ impl Row {
         format!(
             "{{\"benchmark\":\"{}\",\"mode\":\"{}\",\
              \"exec_cycles\":{},\"wall_ns\":{},\"cycles_per_sec\":{:.1},\
-             \"config_hash\":\"{:016x}\",\"trace\":{},\"memo\":{}}}",
+             \"config_hash\":\"{:016x}\",\"trace\":{}}}",
             self.benchmark,
             self.mode,
             self.exec_cycles,
@@ -65,7 +59,6 @@ impl Row {
             self.cycles_per_sec(),
             self.config_hash,
             self.trace,
-            self.memo,
         )
     }
 }
@@ -85,63 +78,46 @@ fn main() {
             _ => bm.build_tiny(),
         };
         for (label, mode, sync) in STATIC_MODES {
-            // One fingerprint per benchmark/mode pair: a memo-on row that
-            // diverges from the memo-off baseline aborts the tracker
-            // before any number is written.
+            let mut o = RunOptions::new(mode).with_machine(machine.clone());
+            o.sync = sync;
+            o.env = RuntimeEnv::default();
             let mut fingerprint: Option<String> = None;
-            for memo in [false, true] {
-                let mut o = RunOptions::new(mode)
-                    .with_machine(machine.clone())
-                    .with_memo(memo);
-                o.sync = sync;
-                o.env = RuntimeEnv::default();
-                let mut best = u128::MAX;
-                let mut exec_cycles = 0u64;
-                for _ in 0..iters {
-                    let t0 = Instant::now();
-                    let s = run_program(&program, &o).expect("simulation failed");
-                    best = best.min(t0.elapsed().as_nanos().max(1));
-                    exec_cycles = s.exec_cycles;
-                    let fp = summary_fingerprint(&s);
-                    match &fingerprint {
-                        None => fingerprint = Some(fp),
-                        Some(want) => assert_eq!(
-                            want,
-                            &fp,
-                            "fingerprint divergence: {} {label} at memo={memo} does \
-                             not match the memo-off baseline",
-                            bm.name()
-                        ),
-                    }
+            let mut best = u128::MAX;
+            let mut exec_cycles = 0u64;
+            for _ in 0..iters {
+                let t0 = Instant::now();
+                let s = run_program(&program, &o).expect("simulation failed");
+                best = best.min(t0.elapsed().as_nanos().max(1));
+                exec_cycles = s.exec_cycles;
+                let fp = summary_fingerprint(&s);
+                match &fingerprint {
+                    None => fingerprint = Some(fp),
+                    Some(want) => assert_eq!(
+                        want,
+                        &fp,
+                        "fingerprint divergence: repeated {} {label} runs disagree",
+                        bm.name()
+                    ),
                 }
-                // Memo-off rows hash to the historical canonical string
-                // so old trajectories keep matching; memo-on rows extend
-                // it.
-                let mut canonical =
-                    throughput_config_string(&machine, &preset, bm.name(), label, false);
-                if memo {
-                    canonical.push_str("|memo=on");
-                }
-                let row = Row {
-                    benchmark: bm.name(),
-                    mode: label,
-                    exec_cycles,
-                    wall_ns: best,
-                    config_hash: config_hash(&canonical),
-                    trace: false,
-                    memo,
-                };
-                println!(
-                    "{:<4} {:<8} memo={:<5} {:>12} cycles {:>12.3} ms {:>14.0} cyc/s",
-                    row.benchmark,
-                    row.mode,
-                    row.memo,
-                    row.exec_cycles,
-                    row.wall_ns as f64 / 1e6,
-                    row.cycles_per_sec()
-                );
-                rows.push(row);
             }
+            let canonical = throughput_config_string(&machine, &preset, bm.name(), label, false);
+            let row = Row {
+                benchmark: bm.name(),
+                mode: label,
+                exec_cycles,
+                wall_ns: best,
+                config_hash: config_hash(&canonical),
+                trace: false,
+            };
+            println!(
+                "{:<4} {:<8} {:>12} cycles {:>12.3} ms {:>14.0} cyc/s",
+                row.benchmark,
+                row.mode,
+                row.exec_cycles,
+                row.wall_ns as f64 / 1e6,
+                row.cycles_per_sec()
+            );
+            rows.push(row);
         }
     }
 

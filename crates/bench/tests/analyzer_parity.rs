@@ -1,19 +1,16 @@
-//! Analyzer parity: the gate's hazard-only analysis against the full one,
-//! and pinned reports for the paper kernels.
+//! Analyzer parity: pinned reports for the paper kernels, the analysis
+//! corpus and a fixed set of fuzz programs.
 //!
-//! `omp_analyze::analyze_hazards` is what the slipstream gate and the
-//! fuzzer's classifier run; `omp_analyze::analyze` adds phase-purity
-//! certification for memoized replay. The two must agree on everything
-//! but `certificates`/`replay_loops`. The pinned FNV-1a digests of the
-//! paper kernels' JSON reports catch any change to the walk's ledger that
-//! alters findings, region summaries, visit counts or certificates.
+//! `omp_analyze::analyze` is what the slipstream gate, the fuzzer's
+//! classifier and `bench --bin analyze` run. The pinned FNV-1a digests of
+//! its JSON reports catch any change to the walk's ledger that alters
+//! findings, region summaries or visit counts.
 
 use bench::analysis_corpus;
 use npb_kernels::Benchmark;
-use omp_analyze::{analyze, analyze_hazards, fnv1a64, AnalysisReport, AnalyzeConfig};
+use omp_analyze::{analyze, fnv1a64, AnalysisReport, AnalyzeConfig};
 use omp_fuzz::diff::DiffOptions;
 use omp_fuzz::gen::{generate, GenConfig};
-use omp_ir::node::Program;
 use slipstream::gate::analyze_config;
 use slipstream::{AStreamPolicy, MachineConfig, SlipSync};
 
@@ -25,35 +22,18 @@ fn digest(r: &AnalysisReport) -> u64 {
     fnv1a64(r.to_json().as_bytes())
 }
 
-/// Assert the hazard-only report equals the full one minus certification,
-/// and return both.
-fn check_parity(label: &str, p: &Program, cfg: &AnalyzeConfig) -> (AnalysisReport, AnalysisReport) {
-    let hazards = analyze_hazards(p, cfg);
-    let full = analyze(p, cfg);
-    assert!(hazards.certificates.is_empty() && hazards.replay_loops.is_empty());
-    let mut stripped = full.clone();
-    stripped.certificates.clear();
-    stripped.replay_loops.clear();
-    assert_eq!(
-        hazards, stripped,
-        "{label}: hazard passes diverge from analyze"
-    );
-    (hazards, full)
-}
-
-/// (kernel, sync, hazard-report digest, full-report digest) on the paper
-/// machine.
-const PAPER_DIGESTS: [(&str, &str, u64, u64); 10] = [
-    ("bt", "G0", 0x5621_9310_7aae_92ab, 0xd494_62f6_8b28_6674),
-    ("bt", "L1", 0x46ec_0247_9df1_7d7c, 0xe004_ffb9_cb9c_fa31),
-    ("cg", "G0", 0xa076_134a_f81f_65b6, 0xd10a_ec12_a533_7ee5),
-    ("cg", "L1", 0xbc20_ba55_1fe9_c6ab, 0x0839_9353_02ca_0a86),
-    ("lu", "G0", 0x3e97_f549_afbb_7f39, 0x97a7_6a05_f288_4b24),
-    ("lu", "L1", 0x6eaf_e371_1b03_4f86, 0xbef6_88b0_9980_8447),
-    ("mg", "G0", 0x8b63_0424_8ab1_85e1, 0x703f_7eca_b9b1_592d),
-    ("mg", "L1", 0x0b4e_c3fa_6764_fa1a, 0x7b0b_5899_0d57_ad0a),
-    ("sp", "G0", 0x1ba5_8fc5_8a4a_2ab8, 0x64bd_02f6_071e_ee31),
-    ("sp", "L1", 0x3b86_5933_f765_bcbb, 0xb7b6_197f_efc2_259c),
+/// (kernel, sync, report digest) on the paper machine.
+const PAPER_DIGESTS: [(&str, &str, u64); 10] = [
+    ("bt", "G0", 0xf36f_51ac_503a_96ce),
+    ("bt", "L1", 0x258f_0581_3bb6_b5e5),
+    ("cg", "G0", 0x31f7_d088_b52c_e2df),
+    ("cg", "L1", 0xd0f1_5cba_3932_8ace),
+    ("lu", "G0", 0xf91d_8cd1_3fe3_af5c),
+    ("lu", "L1", 0xf64c_9203_cd25_b6af),
+    ("mg", "G0", 0x75bc_1bd9_ead6_70c4),
+    ("mg", "L1", 0x53c8_3c35_bb97_419b),
+    ("sp", "G0", 0xd27b_00f4_d2eb_ab19),
+    ("sp", "L1", 0x0066_f714_4388_e49e),
 ];
 
 #[test]
@@ -63,44 +43,52 @@ fn paper_kernels_match_pinned_reports_under_both_syncs() {
         let p = bm.build_paper(None);
         for sync in [SlipSync::G0, SlipSync::L1] {
             let label = format!("{}-{}", bm.name(), sync.label());
-            let (hazards, full) = check_parity(&label, &p, &config(&machine, sync));
-            let &(_, _, want_hazards, want_full) = PAPER_DIGESTS
+            let r = analyze(&p, &config(&machine, sync));
+            let &(_, _, want) = PAPER_DIGESTS
                 .iter()
-                .find(|(k, s, ..)| *k == bm.name() && *s == sync.label())
+                .find(|(k, s, _)| *k == bm.name() && *s == sync.label())
                 .expect("every kernel and sync is pinned");
             assert_eq!(
-                (digest(&hazards), digest(&full)),
-                (want_hazards, want_full),
+                digest(&r),
+                want,
                 "{label}: report changed\n{}",
-                full.render_text()
+                r.render_text()
             );
         }
     }
 }
 
 #[test]
-fn corpus_and_fuzz_programs_agree_with_the_full_analysis() {
-    // The paper presets are covered, under both syncs, above.
+fn corpus_and_fuzz_reports_match_their_pinned_digest() {
+    // One digest over the JSON reports, joined by newlines, of the
+    // non-paper corpus programs (the paper presets are pinned above) and
+    // of 200 campaign plus 200 racy programs under both syncs.
+    const ALL_REPORTS_DIGEST: u64 = 0x75eb_c81e_3858_e542;
+    let mut reports = Vec::new();
     for (label, p) in analysis_corpus() {
         if !label.ends_with("-paper") {
-            check_parity(&label, &p, &AnalyzeConfig::paper());
+            reports.push(analyze(&p, &AnalyzeConfig::paper()));
         }
     }
     let machine = DiffOptions::campaign().machine;
     let mut racy = GenConfig::campaign();
     racy.race_permille = 400;
-    let mut denied = 0;
     for seed in 0..200 {
-        for (kind, gen) in [("campaign", GenConfig::campaign()), ("racy", racy)] {
+        for gen in [GenConfig::campaign(), racy] {
             let p = generate(seed, &gen);
             for sync in [SlipSync::G0, SlipSync::L1] {
-                let label = format!("{kind} seed {seed} {}", sync.label());
-                let (hazards, _) = check_parity(&label, &p, &config(&machine, sync));
-                denied += usize::from(hazards.deny_count() > 0);
+                reports.push(analyze(&p, &config(&machine, sync)));
             }
         }
     }
+    let denied = reports.iter().filter(|r| r.deny_count() > 0).count();
     assert!(denied > 0, "no fuzz program exercised the deny path");
+    let joined: Vec<String> = reports.iter().map(AnalysisReport::to_json).collect();
+    assert_eq!(
+        fnv1a64(joined.join("\n").as_bytes()),
+        ALL_REPORTS_DIGEST,
+        "a corpus or fuzz report changed"
+    );
 }
 
 #[test]
@@ -108,15 +96,15 @@ fn state_cap_truncates_without_spurious_findings() {
     // LU on the paper machine admits exactly 26440 distinct
     // (phase, array, element) records.
     const LU_RECORDS: usize = 26440;
-    const LU_CAPPED_DIGEST: u64 = 0x9638_d435_78ff_aaef;
+    const LU_CAPPED_DIGEST: u64 = 0x6a88_4b3e_b936_328a;
     let p = Benchmark::Lu.build_paper(None);
     let base = config(&MachineConfig::paper(), SlipSync::G0);
-    let full = analyze_hazards(&p, &base);
+    let full = analyze(&p, &base);
     assert!(!full.truncated);
     let with_cap = |cap| {
         let mut cfg = base.clone();
         cfg.max_state_entries = cap;
-        analyze_hazards(&p, &cfg)
+        analyze(&p, &cfg)
     };
     for cap in [1, 1000, LU_RECORDS - 1] {
         let r = with_cap(cap);

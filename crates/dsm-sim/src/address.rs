@@ -65,6 +65,15 @@ const SHARED_SIZE: Addr = 1 << 40;
 const PRIVATE_BASE: Addr = 1 << 44;
 const PRIVATE_STRIDE: Addr = 1 << 36;
 
+/// Bytes at the end of the shared segment that no array may occupy. The
+/// engine allocates its runtime lines (barrier, lock, flag and
+/// per-encounter construct lines) upward from a program's
+/// `runtime_base`, a few guard lines past its last shared array, one
+/// node-homed line at a time with a stride of the node count. So the
+/// reserve holds `2^32 / (line bytes x nodes)` runtime lines per home
+/// node: 4,194,304 on the 16-node, 64-byte-line paper machine.
+const RUNTIME_RESERVE: Addr = 1 << 32;
+
 /// Resolved placement of one application array in the simulated address
 /// space — the single source of truth for shared/private classification
 /// and element addressing, shared by the compiler backend
@@ -88,10 +97,19 @@ impl ArraySpan {
     /// (absolute for shared arrays, private-base-relative otherwise).
     /// Out-of-range indices clamp into the array rather than wandering
     /// into a neighbouring array's lines: timing kernels may probe edges.
-    /// Panics on zero-length arrays, exactly like the runtime path.
+    /// Panics on zero-length arrays, which `omp_ir::validate` rejects.
+    /// The sum wraps only for layouts that [`AddressMap::check_layout`]
+    /// rejects, which the static analyzer may still walk.
     pub fn element_offset(&self, index: i64) -> Addr {
         let idx = index.clamp(0, self.len as i64 - 1) as u64;
-        self.base + idx * self.elem_bytes
+        self.base.wrapping_add(idx * self.elem_bytes)
+    }
+
+    /// One past the array's last byte, in the same coordinates as
+    /// [`ArraySpan::base`] (saturating).
+    fn end(&self) -> Addr {
+        self.base
+            .saturating_add(self.len.saturating_mul(self.elem_bytes))
     }
 
     /// Absolute byte address of `self[index]` for the thread on `cpu`
@@ -117,26 +135,27 @@ impl ArraySpan {
 /// line-aligned, and one guard line separates consecutive arrays. Each
 /// declaration is `(shared, len, elem_bytes)`. Returns the spans plus the
 /// first shared address free for runtime objects (after the user arrays).
+/// The arithmetic saturates, so a layout too large for the address space
+/// comes back whole for [`AddressMap::check_layout`] to reject.
 pub fn layout_spans(
     decls: impl IntoIterator<Item = (bool, u64, u64)>,
     shared_base: Addr,
     line: u64,
 ) -> (Vec<ArraySpan>, Addr) {
-    let align = |a: Addr| a.div_ceil(line) * line;
+    let align = |a: Addr| a.div_ceil(line).saturating_mul(line);
     let mut shared_cursor: Addr = shared_base + line;
     let mut private_cursor: Addr = line;
     let mut spans = Vec::new();
     for (shared, len, elem_bytes) in decls {
-        let bytes = align(len * elem_bytes);
-        let base = if shared {
-            let b = shared_cursor;
-            shared_cursor += bytes + line; // one guard line between arrays
-            b
+        let bytes = align(len.saturating_mul(elem_bytes));
+        let cursor = if shared {
+            &mut shared_cursor
         } else {
-            let b = private_cursor;
-            private_cursor += bytes + line;
-            b
+            &mut private_cursor
         };
+        let base = *cursor;
+        // One guard line between arrays.
+        *cursor = cursor.saturating_add(bytes).saturating_add(line);
         spans.push(ArraySpan {
             shared,
             base,
@@ -144,7 +163,7 @@ pub fn layout_spans(
             len,
         });
     }
-    (spans, align(shared_cursor + line))
+    (spans, align(shared_cursor.saturating_add(line)))
 }
 
 /// Address-space map for a configured machine.
@@ -213,6 +232,28 @@ impl AddressMap {
         decls: impl IntoIterator<Item = (bool, u64, u64)>,
     ) -> (Vec<ArraySpan>, Addr) {
         layout_spans(decls, self.shared_base(), self.line_bytes())
+    }
+
+    /// Check that spans from [`AddressMap::layout_spans`] fit the address
+    /// space: shared arrays must end 2^32 bytes before the shared segment
+    /// does, leaving room for the engine's runtime lines, and private
+    /// arrays within one private segment. Returns the index of the first
+    /// array that does not fit and why.
+    pub fn check_layout(&self, spans: &[ArraySpan]) -> Result<(), (usize, String)> {
+        for (k, span) in spans.iter().enumerate() {
+            let (limit, what) = if span.shared {
+                (
+                    SHARED_BASE + SHARED_SIZE - RUNTIME_RESERVE,
+                    "the shared segment (2^40 bytes, less 2^32 kept for runtime lines)",
+                )
+            } else {
+                (PRIVATE_STRIDE, "a private segment (2^36 bytes)")
+            };
+            if span.end() > limit {
+                return Err((k, format!("ends at byte {:#x}, past {what}", span.end())));
+            }
+        }
+        Ok(())
     }
 
     /// Home node of a line: shared lines interleave round-robin across node
@@ -311,6 +352,25 @@ mod tests {
         );
         assert!(runtime_base > spans[1].base + 7 * 4);
         assert_eq!(runtime_base % line, 0);
+    }
+
+    #[test]
+    fn check_layout_keeps_the_runtime_reserve_and_private_segments() {
+        let m = map();
+        let line = m.line_bytes();
+        // The largest shared array that fits: guard line, then up to the
+        // reserve.
+        let fit = SHARED_SIZE - RUNTIME_RESERVE - line;
+        let (spans, _) = m.layout_spans([(true, fit, 1), (false, PRIVATE_STRIDE - line, 1)]);
+        assert_eq!(m.check_layout(&spans), Ok(()));
+        let (spans, _) = m.layout_spans([(true, fit + 1, 1)]);
+        assert_eq!(m.check_layout(&spans).unwrap_err().0, 0);
+        let (spans, _) = m.layout_spans([(true, 4, 8), (false, PRIVATE_STRIDE, 1)]);
+        assert_eq!(m.check_layout(&spans).unwrap_err().0, 1);
+        // Layouts beyond u64 saturate instead of overflowing.
+        let (spans, runtime_base) = m.layout_spans([(true, u64::MAX, 1), (true, 1, 1)]);
+        assert_eq!((spans[1].base, runtime_base), (u64::MAX, u64::MAX));
+        assert_eq!(m.check_layout(&spans).unwrap_err().0, 0);
     }
 
     #[test]

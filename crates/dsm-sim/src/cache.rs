@@ -204,41 +204,6 @@ impl SetAssocCache {
         self.lens.iter().map(|&n| n as usize).sum()
     }
 
-    /// Append the replacement-relevant state to a memo digest: per set,
-    /// the resident `(line, state)` pairs ordered most- to
-    /// least-recently used. The absolute `last_use` stamps and the LRU
-    /// clock are excluded — future hits and victim choices depend only
-    /// on the recency *order*, which `tick()`'s strictly increasing
-    /// stamps preserve across a time jump.
-    pub fn memo_digest(&self, out: &mut Vec<u64>) {
-        let mut order: Vec<[u64; 2]> = Vec::with_capacity(self.ways);
-        for s in 0..self.lens.len() {
-            let set = self.set(s);
-            out.push(set.len() as u64);
-            order.clear();
-            order.extend_from_slice(set);
-            order.sort_unstable_by_key(|w| std::cmp::Reverse(w[1]));
-            for w in &order {
-                out.push(w[0] >> 1);
-                out.push(w[0] & MODIFIED);
-            }
-        }
-    }
-
-    /// Append the monotone counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        out.push(self.hits);
-        out.push(self.misses);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.hits += delta[*idx] * k;
-        *idx += 1;
-        self.misses += delta[*idx] * k;
-        *idx += 1;
-    }
-
     /// Serialize the full cache state (geometry, LRU clock, every way in
     /// storage order, hit/miss counters).
     pub fn snapshot(&self, w: &mut snap::Writer) {
@@ -501,18 +466,6 @@ mod tests {
             self.sets.iter().map(Vec::len).sum()
         }
 
-        fn memo_digest(&self, out: &mut Vec<u64>) {
-            for set in &self.sets {
-                out.push(set.len() as u64);
-                let mut order: Vec<&Way> = set.iter().collect();
-                order.sort_unstable_by_key(|w| std::cmp::Reverse(w.last_use));
-                for w in order {
-                    out.push(w.line.0);
-                    out.push(matches!(w.state, LineState::Modified) as u64);
-                }
-            }
-        }
-
         fn snapshot(&self, w: &mut snap::Writer) {
             w.usize(self.ways);
             w.u64(self.set_mask);
@@ -602,10 +555,6 @@ mod tests {
                 "{ctx}"
             );
             assert_eq!(flat.occupancy(), nested.occupancy(), "{ctx}");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            flat.memo_digest(&mut a);
-            nested.memo_digest(&mut b);
-            assert_eq!(a, b, "{ctx}");
             assert!(
                 bytes(|w| flat.snapshot(w)) == bytes(|w| nested.snapshot(w)),
                 "snapshot bytes differ: {ctx}"

@@ -147,23 +147,6 @@ impl FillCounts {
             + self.fraction(kind, FillClass::RLate)
     }
 
-    /// Append every (kind, class) cell to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        for row in &self.counts {
-            out.extend_from_slice(row);
-        }
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for row in &mut self.counts {
-            for c in row.iter_mut() {
-                *c += delta[*idx] * k;
-                *idx += 1;
-            }
-        }
-    }
-
     /// Element-wise accumulate.
     pub fn merge(&mut self, other: &FillCounts) {
         for (row_a, row_b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -300,44 +283,6 @@ impl Classifier {
     /// Number of still-live (unclassified) records.
     pub fn live_records(&self) -> usize {
         self.live.len()
-    }
-
-    /// Append the time-normalized live-record state to a memo digest:
-    /// records sorted by key, completion and first-use times as offsets
-    /// from `now`. In solo modes the live map is always empty (paired
-    /// streams are a precondition of recording), so this contributes a
-    /// fixed-size prefix there.
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        let mut live: Vec<(u64, FillRecord)> = self.live.iter().map(|(k, v)| (*k, *v)).collect();
-        live.sort_unstable_by_key(|(k, _)| *k);
-        out.push(live.len() as u64);
-        for (k, rec) in live {
-            out.push(k);
-            out.push(match rec.issuer {
-                StreamRole::Solo => 0,
-                StreamRole::R => 1,
-                StreamRole::A => 2,
-            });
-            out.push(matches!(rec.kind, ReqKind::ReadEx) as u64);
-            out.push((rec.complete as i64).wrapping_sub(now as i64) as u64);
-            match rec.other_first_use {
-                None => out.push(0),
-                Some(t) => {
-                    out.push(1);
-                    out.push((t as i64).wrapping_sub(now as i64) as u64);
-                }
-            }
-        }
-    }
-
-    /// Advance every live record's timestamps by `delta` (memo jump).
-    pub fn memo_shift(&mut self, delta: Cycle) {
-        for rec in self.live.values_mut() {
-            rec.complete += delta;
-            if let Some(t) = &mut rec.other_first_use {
-                *t += delta;
-            }
-        }
     }
 
     /// Serialize the full classifier state. Live records are written

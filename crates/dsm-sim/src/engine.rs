@@ -251,46 +251,6 @@ impl Resource {
         self.windows.back().map_or(0, |&(_, e)| e)
     }
 
-    /// Append the time-normalized behavioral state to a memo digest:
-    /// live reservation windows (ending after `now`) as signed offsets
-    /// from `now`. Windows are disjoint and sorted by start, so expired
-    /// windows form a prefix the gap scan steps over without effect on
-    /// any request issued at or after `now` — they are excluded.
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        let live = self.windows.iter().filter(|&&(_, e)| e > now);
-        out.push(live.clone().count() as u64);
-        for &(s, e) in self.windows.iter().filter(|&&(_, e)| e > now) {
-            out.push((s as i64).wrapping_sub(now as i64) as u64);
-            out.push(e - now);
-        }
-    }
-
-    /// Advance live windows (ending after `now`) by `delta` — the memo
-    /// jump. Expired windows stay where they are (behaviorally inert for
-    /// requests at or after `now`), preserving the sorted order.
-    pub fn memo_shift(&mut self, now: Cycle, delta: Cycle) {
-        for w in self.windows.iter_mut() {
-            if w.1 > now {
-                w.0 += delta;
-                w.1 += delta;
-            }
-        }
-    }
-
-    /// Append the monotone counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        out.push(self.contention_cycles);
-        out.push(self.transactions);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        self.contention_cycles += delta[*idx] * k;
-        *idx += 1;
-        self.transactions += delta[*idx] * k;
-        *idx += 1;
-    }
-
     /// Serialize the reserved windows and counters.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         w.deque(&self.windows, |w, &(s, e)| {

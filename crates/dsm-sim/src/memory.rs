@@ -52,35 +52,6 @@ impl MemoryControllers {
         self.bus.iter().map(|r| r.contention_cycles).sum()
     }
 
-    /// Append the time-normalized controller/bus state to a memo digest
-    /// (memory controllers, then buses — snapshot order).
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        for r in self.mem.iter().chain(self.bus.iter()) {
-            r.memo_digest(now, out);
-        }
-    }
-
-    /// Advance live controller/bus reservations by `delta` (memo jump).
-    pub fn memo_shift(&mut self, now: Cycle, delta: Cycle) {
-        for r in self.mem.iter_mut().chain(self.bus.iter_mut()) {
-            r.memo_shift(now, delta);
-        }
-    }
-
-    /// Append the monotone counters to a memo counter vector.
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        for r in self.mem.iter().chain(self.bus.iter()) {
-            r.memo_counters(out);
-        }
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]`, advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for r in self.mem.iter_mut().chain(self.bus.iter_mut()) {
-            r.memo_apply(delta, idx, k);
-        }
-    }
-
     /// Serialize the mutable controller/bus state. Derived latencies are
     /// rebuilt from config on restore, so only the resources are written.
     pub fn snapshot(&self, w: &mut snap::Writer) {

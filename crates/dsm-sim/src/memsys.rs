@@ -651,97 +651,6 @@ impl MemSystem {
         self.net.total_messages()
     }
 
-    /// Append the whole memory system's time-normalized behavioral state
-    /// to a memo digest, mirroring [`MemSystem::snapshot`]'s enumeration
-    /// minus monotone counters (captured by [`MemSystem::memo_counters`])
-    /// and absolute clocks: caches in recency order, non-Uncached
-    /// directory entries, live resource windows and MSHR fills as offsets
-    /// from `now`, and live classifier records. Roles and the
-    /// self-invalidation flag are run constants and excluded.
-    pub fn memo_digest(&self, now: Cycle, out: &mut Vec<u64>) {
-        for c in &self.l1 {
-            c.memo_digest(out);
-        }
-        for c in &self.l2 {
-            c.memo_digest(out);
-        }
-        for d in &self.dirs {
-            d.memo_digest(out);
-        }
-        self.net.memo_digest(now, out);
-        self.mem.memo_digest(now, out);
-        for table in &self.mshr {
-            let mut live: Vec<(u64, Cycle)> = table
-                .iter()
-                .filter(|&(_, &arrival)| arrival > now)
-                .map(|(l, &arrival)| (l.0, arrival - now))
-                .collect();
-            live.sort_unstable();
-            out.push(live.len() as u64);
-            for (l, off) in live {
-                out.push(l);
-                out.push(off);
-            }
-        }
-        self.classifier.memo_digest(now, out);
-    }
-
-    /// Advance every live time-bearing structure by `delta` — the memo
-    /// jump. Expired resource windows and dead MSHR entries stay put
-    /// (both are behaviorally inert for requests at or after `now`).
-    pub fn memo_shift(&mut self, now: Cycle, delta: Cycle) {
-        self.net.memo_shift(now, delta);
-        self.mem.memo_shift(now, delta);
-        for table in &mut self.mshr {
-            for arrival in table.values_mut() {
-                if *arrival > now {
-                    *arrival += delta;
-                }
-            }
-        }
-        self.classifier.memo_shift(delta);
-    }
-
-    /// Append every monotone memory-system counter to a memo counter
-    /// vector, in the same structural order as [`MemSystem::memo_digest`].
-    pub fn memo_counters(&self, out: &mut Vec<u64>) {
-        for c in &self.l1 {
-            c.memo_counters(out);
-        }
-        for c in &self.l2 {
-            c.memo_counters(out);
-        }
-        for d in &self.dirs {
-            d.memo_counters(out);
-        }
-        self.net.memo_counters(out);
-        self.mem.memo_counters(out);
-        out.push(self.l2_evictions);
-        out.push(self.l2_invalidations);
-        self.classifier.counts.memo_counters(out);
-    }
-
-    /// Add `k` copies of the deltas at `delta[*idx..]` (layout of
-    /// [`MemSystem::memo_counters`]), advancing `*idx`.
-    pub fn memo_apply(&mut self, delta: &[u64], idx: &mut usize, k: u64) {
-        for c in &mut self.l1 {
-            c.memo_apply(delta, idx, k);
-        }
-        for c in &mut self.l2 {
-            c.memo_apply(delta, idx, k);
-        }
-        for d in &mut self.dirs {
-            d.memo_apply(delta, idx, k);
-        }
-        self.net.memo_apply(delta, idx, k);
-        self.mem.memo_apply(delta, idx, k);
-        self.l2_evictions += delta[*idx] * k;
-        *idx += 1;
-        self.l2_invalidations += delta[*idx] * k;
-        *idx += 1;
-        self.classifier.counts.memo_apply(delta, idx, k);
-    }
-
     /// Serialize the mutable memory-system state. Config-derived fields
     /// (address map, latencies) are rebuilt by [`MemSystem::new`] on
     /// restore, so only caches, directories, resources, MSHRs, roles, the

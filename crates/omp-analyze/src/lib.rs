@@ -28,20 +28,17 @@
 //!
 //! Findings carry structured [`omp_ir::NodePath`] locations shared with
 //! `omp_ir::validate` diagnostics, and reports render as human text or
-//! machine JSON. The `slipstream` crate gates compilation on the hazard
-//! passes ([`analyze_hazards`]) via its [`GateMode`]; [`analyze`] adds
-//! the phase-purity certification that memoized replay needs, and
-//! `bench --bin analyze` sweeps every NPB kernel with it.
+//! machine JSON. [`analyze`] is the one entry point: the `slipstream`
+//! crate gates compilation on it via its [`GateMode`], the differential
+//! fuzzer classifies programs with it, and `bench --bin analyze` sweeps
+//! every NPB kernel with it.
 
 #![warn(missing_docs)]
 
-pub mod cert;
-pub mod deps;
 pub mod finding;
 pub mod report;
 mod walk;
 
-pub use cert::{guard_checksum, PhaseCertificate, PhaseClass, ReplayLoop};
 pub use finding::{Finding, Hazard, Severity};
 pub use report::{AnalysisReport, Equivalence, RegionReport, SkipSet};
 
@@ -177,26 +174,13 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// Run every analysis pass over `program`: the hazard passes of
-/// [`analyze_hazards`] plus phase-purity certification ([`cert`]), whose
-/// certificates and replay-loop licenses only memoized replay consumes.
+/// Run every analysis pass over `program`: validation plus the walk's
+/// race, skip-set/divergence and lead-bound checks.
 ///
 /// Invalid programs (per [`omp_ir::validate`]) return a report whose
 /// findings are the validator's diagnostics at `deny` severity; the walk
 /// itself only runs on valid programs.
 pub fn analyze(program: &Program, cfg: &AnalyzeConfig) -> AnalysisReport {
-    run(program, cfg, true)
-}
-
-/// Run the hazard passes only: validation plus the walk's race,
-/// skip-set/divergence and lead-bound checks. Everything a gate decision
-/// or an [`Equivalence`] class needs; the report equals [`analyze`]'s
-/// except that `certificates` and `replay_loops` are empty.
-pub fn analyze_hazards(program: &Program, cfg: &AnalyzeConfig) -> AnalysisReport {
-    run(program, cfg, false)
-}
-
-fn run(program: &Program, cfg: &AnalyzeConfig, certify: bool) -> AnalysisReport {
     if let Err(e) = omp_ir::validate(program) {
         let findings = e
             .problems
@@ -217,27 +201,18 @@ fn run(program: &Program, cfg: &AnalyzeConfig, certify: bool) -> AnalysisReport 
             l2_lines: cfg.l2_lines,
             findings,
             regions: Vec::new(),
-            certificates: Vec::new(),
-            replay_loops: Vec::new(),
             suppressed: 0,
             truncated: false,
             visits: 0,
         };
     }
     let out = walk::walk(program, cfg);
-    let certs = if certify {
-        cert::certify(program, cfg)
-    } else {
-        cert::CertOutput::default()
-    };
     AnalysisReport {
         program: program.name.clone(),
         num_threads: cfg.num_threads,
         l2_lines: cfg.l2_lines,
         findings: out.findings,
         regions: out.regions,
-        certificates: certs.certificates,
-        replay_loops: certs.replay_loops,
         suppressed: out.suppressed,
         truncated: out.truncated,
         visits: out.visits,
@@ -515,7 +490,7 @@ mod tests {
             let body = Node::Seq((0..loops).map(|_| lp()).collect());
             let mut cfg = cfg4();
             cfg.max_reported_per_hazard = cap;
-            let r = analyze_hazards(&prog("unbal", vec![], 1, region(body)), &cfg);
+            let r = analyze(&prog("unbal", vec![], 1, region(body)), &cfg);
             assert!(r
                 .findings
                 .iter()

@@ -2,7 +2,6 @@
 //! rendered as human text or machine JSON (hand-rolled; the workspace is
 //! dependency-free).
 
-use crate::cert::{PhaseCertificate, PhaseClass, ReplayLoop};
 use crate::finding::{Finding, Severity};
 use omp_ir::serialize::escape_json;
 use omp_ir::NodePath;
@@ -133,11 +132,6 @@ pub struct AnalysisReport {
     pub findings: Vec<Finding>,
     /// One entry per parallel region, in program order.
     pub regions: Vec<RegionReport>,
-    /// Phase-purity certificates, one per barrier phase per region (see
-    /// [`crate::cert`]).
-    pub certificates: Vec<PhaseCertificate>,
-    /// Serial loops licensed for memoized phase replay.
-    pub replay_loops: Vec<ReplayLoop>,
     /// Findings dropped by the per-hazard report cap.
     pub suppressed: u64,
     /// True when the walk hit its visit or state budget; the analysis is
@@ -190,14 +184,6 @@ impl AnalysisReport {
     /// Highest severity present, if any finding exists.
     pub fn max_severity(&self) -> Option<Severity> {
         self.findings.iter().map(|f| f.severity).max()
-    }
-
-    /// Count certificates of one class.
-    pub fn cert_count(&self, class: PhaseClass) -> usize {
-        self.certificates
-            .iter()
-            .filter(|c| c.class == class)
-            .count()
     }
 
     /// Multi-line human-readable rendering.
@@ -255,47 +241,6 @@ impl AnalysisReport {
                 k.flushes_dropped,
                 k.io_skipped,
             );
-        }
-        if !self.certificates.is_empty() {
-            let _ = writeln!(
-                s,
-                "  certificates: {} pure, {} replay-safe, {} opaque; {} replay loop(s) licensed",
-                self.cert_count(PhaseClass::Pure),
-                self.cert_count(PhaseClass::ReplaySafe),
-                self.cert_count(PhaseClass::Opaque),
-                self.replay_loops.len(),
-            );
-            for c in &self.certificates {
-                let _ = writeln!(
-                    s,
-                    "    region {} phase {} @ {}: {}{}{}",
-                    c.region,
-                    c.phase,
-                    c.path,
-                    c.class,
-                    if c.exact { "" } else { " (approx)" },
-                    if c.reasons.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" — {}", c.reasons.join("; "))
-                    },
-                );
-            }
-            for l in &self.replay_loops {
-                let _ = writeln!(
-                    s,
-                    "    replay loop region {} @ {}: var v{} in {}..{} step {} ({} iter(s), {} phase(s)/iter, guard {:016x})",
-                    l.region,
-                    l.path,
-                    l.var,
-                    l.begin,
-                    l.end,
-                    l.step,
-                    l.trip_count,
-                    l.phases_per_iteration,
-                    l.guard_checksum,
-                );
-            }
         }
         s
     }
@@ -370,52 +315,6 @@ impl AnalysisReport {
                 k.io_skipped,
             );
         }
-        s.push_str("],\"certificates\":[");
-        for (i, c) in self.certificates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"region\":{},\"phase\":{},\"class\":\"{}\",\"path\":\"{}\",\"exact\":{},\"arrays\":{},\"writes\":{},\"fingerprint\":\"{:016x}\",\"reasons\":[",
-                c.region,
-                c.phase,
-                c.class.label(),
-                escape_json(&c.path.to_string()),
-                c.exact,
-                c.arrays,
-                c.writes,
-                c.fingerprint,
-            );
-            for (j, r) in c.reasons.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\"", escape_json(r));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("],\"replay_loops\":[");
-        for (i, l) in self.replay_loops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"region\":{},\"path\":\"{}\",\"var\":{},\"begin\":{},\"end\":{},\"step\":{},\"trip_count\":{},\"phase_start\":{},\"phases_per_iteration\":{},\"guard_checksum\":\"{:016x}\",\"fingerprint\":\"{:016x}\"}}",
-                l.region,
-                escape_json(&l.path.to_string()),
-                l.var,
-                l.begin,
-                l.end,
-                l.step,
-                l.trip_count,
-                l.phase_start,
-                l.phases_per_iteration,
-                l.guard_checksum,
-                l.fingerprint,
-            );
-        }
         s.push_str("]}");
         s
     }
@@ -450,18 +349,6 @@ mod tests {
                 max_window_lines: 7,
                 skips: SkipSet::default(),
             }],
-            certificates: vec![PhaseCertificate {
-                region: 0,
-                phase: 0,
-                class: PhaseClass::ReplaySafe,
-                path: NodePath::root(),
-                exact: true,
-                arrays: 1,
-                writes: 8,
-                reasons: vec![],
-                fingerprint: 0xabcd,
-            }],
-            replay_loops: vec![],
             suppressed: 0,
             truncated: false,
             visits: 42,

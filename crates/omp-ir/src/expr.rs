@@ -100,73 +100,6 @@ impl Expr {
         }
     }
 
-    /// True if the expression reads private variable `v` anywhere.
-    pub fn references_var(&self, v: VarId) -> bool {
-        match self {
-            Expr::Const(_) | Expr::ThreadId | Expr::NumThreads => false,
-            Expr::Var(w) => *w == v,
-            Expr::Bin(_, a, b) => a.references_var(v) || b.references_var(v),
-            Expr::Table(_, e) => e.references_var(v),
-        }
-    }
-
-    /// True if the expression depends on the thread id anywhere.
-    pub fn uses_thread_id(&self) -> bool {
-        match self {
-            Expr::Const(_) | Expr::Var(_) | Expr::NumThreads => false,
-            Expr::ThreadId => true,
-            Expr::Bin(_, a, b) => a.uses_thread_id() || b.uses_thread_id(),
-            Expr::Table(_, e) => e.uses_thread_id(),
-        }
-    }
-
-    /// True if the expression performs any host-table lookup.
-    pub fn uses_table(&self) -> bool {
-        match self {
-            Expr::Const(_) | Expr::Var(_) | Expr::ThreadId | Expr::NumThreads => false,
-            Expr::Bin(_, a, b) => a.uses_table() || b.uses_table(),
-            Expr::Table(..) => true,
-        }
-    }
-
-    /// Fold to a constant when the expression depends on nothing but
-    /// literals and (if `nthreads` is supplied) the team size. Variables,
-    /// the thread id, and table lookups make the result `None`. Evaluation
-    /// follows the total [`Expr::eval`] semantics exactly (wrapping
-    /// arithmetic, division by zero yields 0).
-    pub fn const_fold(&self, nthreads: Option<i64>) -> Option<i64> {
-        match self {
-            Expr::Const(v) => Some(*v),
-            Expr::Var(_) | Expr::ThreadId | Expr::Table(..) => None,
-            Expr::NumThreads => nthreads,
-            Expr::Bin(op, a, b) => {
-                let x = a.const_fold(nthreads)?;
-                let y = b.const_fold(nthreads)?;
-                Some(match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    }
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                })
-            }
-        }
-    }
-
     /// Largest `TableId` referenced, if any (for validation).
     pub fn max_table(&self) -> Option<u32> {
         match self {

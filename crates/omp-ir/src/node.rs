@@ -253,84 +253,6 @@ impl Node {
     pub fn nop() -> Node {
         Node::Seq(Vec::new())
     }
-
-    /// True if any expression under this node (indices, bounds, compute
-    /// amounts, reduction cells) reads private variable `v`. Induction
-    /// variables of nested loops may shadow `v` at runtime, but the IR
-    /// uses flat variable slots, so a nested writer of `v` makes the
-    /// answer conservatively `true` as well — certification only asks
-    /// "does the body's behavior depend on the enclosing loop counter".
-    pub fn reads_var(&self, v: VarId) -> bool {
-        match self {
-            Node::Seq(items) | Node::Sections(items) => items.iter().any(|n| n.reads_var(v)),
-            Node::Compute(e) => e.references_var(v),
-            Node::Load { index, .. } | Node::Store { index, .. } | Node::Atomic { index, .. } => {
-                index.references_var(v)
-            }
-            Node::For {
-                var,
-                begin,
-                end,
-                body,
-                ..
-            } => begin.references_var(v) || end.references_var(v) || *var == v || body.reads_var(v),
-            Node::Parallel { body, .. } => body.reads_var(v),
-            Node::ParFor {
-                var,
-                begin,
-                end,
-                body,
-                reduction,
-                ..
-            } => {
-                begin.references_var(v)
-                    || end.references_var(v)
-                    || *var == v
-                    || reduction
-                        .as_ref()
-                        .is_some_and(|r| r.index.references_var(v))
-                    || body.reads_var(v)
-            }
-            Node::Single(body) | Node::Master(body) | Node::Critical { body, .. } => {
-                body.reads_var(v)
-            }
-            Node::SlipstreamSet(_) | Node::Barrier | Node::Flush | Node::Io { .. } => false,
-        }
-    }
-
-    /// True if any I/O operation occurs under this node.
-    pub fn contains_io(&self) -> bool {
-        match self {
-            Node::Io { .. } => true,
-            Node::Seq(items) | Node::Sections(items) => items.iter().any(Node::contains_io),
-            Node::For { body, .. }
-            | Node::Parallel { body, .. }
-            | Node::ParFor { body, .. }
-            | Node::Single(body)
-            | Node::Master(body)
-            | Node::Critical { body, .. } => body.contains_io(),
-            _ => false,
-        }
-    }
-
-    /// Count of barrier-ending construct boundaries a single thread passes
-    /// through when executing this node once at the top level of a parallel
-    /// region: explicit barriers, non-`nowait` worksharing loops, and the
-    /// exit barriers of `single`/`sections`. Nested serial loops multiply
-    /// only when their trip count is statically known, so the result is a
-    /// conservative lower bound.
-    pub fn min_barrier_boundaries(&self) -> u64 {
-        match self {
-            Node::Barrier => 1,
-            Node::ParFor { nowait, .. } => u64::from(!*nowait),
-            Node::Single(_) | Node::Sections(_) => 1,
-            Node::Seq(items) => items.iter().map(Node::min_barrier_boundaries).sum(),
-            // A serial loop may execute zero times; callers that know the
-            // trip count multiply the body's bound themselves.
-            Node::For { .. } => 0,
-            _ => 0,
-        }
-    }
 }
 
 /// A complete program: declarations plus the serial body.

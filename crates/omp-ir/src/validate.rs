@@ -4,6 +4,10 @@
 //! before emitting runtime calls: shared/private discipline is explicit,
 //! worksharing constructs appear only inside parallel regions, barriers
 //! are not nested inside worksharing bodies, and every id is in range.
+//! Array shapes are checked too: every array has 1 to `i64::MAX`
+//! elements (indices are `i64`) and a byte size that fits a `u64`.
+//! Whether the arrays fit a machine's address space depends on the
+//! machine, so `slipstream::compile` checks that.
 //!
 //! Each problem is a [`Diagnostic`] carrying a structured [`NodePath`] to
 //! the offending construct — the same path currency the `omp-analyze`
@@ -268,6 +272,18 @@ pub fn validate(program: &Program) -> Result<(), ValidationError> {
         path: Vec::new(),
         problems: Vec::new(),
     };
+    for (k, a) in program.arrays.iter().enumerate() {
+        let shape = if a.len == 0 {
+            "has no elements"
+        } else if a.len > i64::MAX as u64 {
+            "has more than i64::MAX elements"
+        } else if a.len.checked_mul(a.elem_bytes).is_none() {
+            "has a byte size that overflows u64"
+        } else {
+            continue;
+        };
+        v.diag(format!("array `{}` (a{k}) {shape}", a.name));
+    }
     v.node(&program.body, Ctx::Serial, 0);
     if v.problems.is_empty() {
         Ok(())
@@ -488,6 +504,34 @@ mod tests {
             .find(|p| p.message.contains("step must be positive"))
             .unwrap();
         assert_eq!(d.path.to_string(), "for[0]");
+    }
+
+    #[test]
+    fn unaddressable_array_shapes_are_rejected() {
+        let mut b = ProgramBuilder::new("shapes");
+        b.shared_array("ok", 4, 8);
+        let mut p = b.build();
+        let decl = |name: &str, len, elem_bytes| crate::node::ArrayDecl {
+            name: name.into(),
+            shared: true,
+            len,
+            elem_bytes,
+        };
+        p.arrays.push(decl("empty", 0, 8));
+        p.arrays.push(decl("long", 1 << 63, 1));
+        p.arrays.push(decl("huge", 1 << 62, 8));
+        p.arrays.push(decl("weightless", 1 << 62, 0));
+        let e = validate(&p).unwrap_err();
+        let messages: Vec<&str> = e.problems.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "array `empty` (a1) has no elements",
+                "array `long` (a2) has more than i64::MAX elements",
+                "array `huge` (a3) has a byte size that overflows u64",
+            ]
+        );
+        assert!(e.problems.iter().all(|d| d.path == NodePath::root()));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use dsm_sim::{Addr, AddressMap, ArraySpan};
 use omp_ir::expr::{Expr, VarId};
 use omp_ir::node::{ArrayId, Node, Program, Reduction, ScheduleSpec, SlipstreamClause};
-use omp_ir::validate::{validate, ValidationError};
+use omp_ir::validate::{validate, Diagnostic, ValidationError};
+use omp_ir::NodePath;
 use std::collections::HashMap;
 
 /// Index of a flattened node.
@@ -449,7 +450,9 @@ impl Lowerer {
     }
 }
 
-/// Lower a program for a machine. Fails if the program is invalid.
+/// Lower a program for a machine. Fails if the program is invalid or its
+/// arrays do not fit the machine's address space
+/// ([`AddressMap::check_layout`]).
 pub fn compile(program: &Program, map: &AddressMap) -> Result<CompiledProgram, ValidationError> {
     validate(program)?;
 
@@ -463,6 +466,13 @@ pub fn compile(program: &Program, map: &AddressMap) -> Result<CompiledProgram, V
             .iter()
             .map(|d| (d.shared, d.len, d.elem_bytes)),
     );
+    map.check_layout(&spans)
+        .map_err(|(k, why)| ValidationError {
+            problems: vec![Diagnostic {
+                path: NodePath::root(),
+                message: format!("array `{}` (a{k}) {why}", program.arrays[k].name),
+            }],
+        })?;
     let arrays: Vec<ArrayLayout> = program
         .arrays
         .iter()

@@ -24,7 +24,6 @@
 
 use crate::compile::{CompiledProgram, FNode, NodeId, Op};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, PairLedger};
-use crate::memo::{MemoDiag, MemoPlan};
 use crate::pairing::{Decision, PairState};
 use crate::policy::{AAction, AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{
@@ -160,11 +159,8 @@ pub struct EngineConfig {
     /// Seeded engine-mutation class (fuzzer self-check only);
     /// [`EngineMutation::None`] keeps the engine bit-identical.
     pub mutation: EngineMutation,
-    /// Certified replay-loop plan for memoized phase replay (default
-    /// empty = off). Only armed in single/double mode with no mutation,
-    /// faults, OS noise, or tracing; every jump is guarded by the
-    /// license checksum and the iteration-start machine-state digest, so
-    /// results stay bit-identical to a memo-off run.
+    /// Held for perfbench until the benchmark change: the engine never
+    /// reads it, and [`MemoPlan`] has a single value.
     pub memo: MemoPlan,
 }
 
@@ -187,9 +183,20 @@ impl EngineConfig {
             max_cycles: 50_000_000_000,
             max_events: 2_000_000_000,
             mutation: EngineMutation::None,
-            memo: MemoPlan::default(),
+            memo: MemoPlan,
         }
     }
+}
+
+/// Held for perfbench until the benchmark change: the type of
+/// [`EngineConfig::memo`], with a single value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoPlan;
+
+/// Held for perfbench until the benchmark change: always returns
+/// [`MemoPlan`].
+pub fn build_plan(_report: &omp_analyze::AnalysisReport, _cp: &CompiledProgram) -> MemoPlan {
+    MemoPlan
 }
 
 /// Aggregated outcome of one simulated run.
@@ -235,15 +242,12 @@ pub struct RunResult {
     pub machine: dsm_sim::MachineCounters,
     /// Scheduler events the engine processed, stale pops included — the
     /// denominator that turns host time into ns per event. Independent of
-    /// tracing; memo replay skips events, so memo-on runs process fewer.
-    /// Observation-only: excluded from stats fingerprints by design.
+    /// tracing. Observation-only: excluded from stats fingerprints by
+    /// design.
     pub events: u64,
     /// Merged trace of the run when [`EngineConfig::trace`] was on.
     /// Observation-only: excluded from stats fingerprints by design.
     pub trace: Option<TraceData>,
-    /// Memoized-phase-replay diagnostics (all zeros without a plan).
-    /// Observation-only: excluded from stats fingerprints by design.
-    pub memo: MemoDiag,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,174 +444,8 @@ pub struct Engine<'p> {
     sched_steals_total: u64,
     /// One flag per `cfg.faults` event: fired yet?
     fault_fired: Vec<bool>,
-    /// Parallel regions dispatched so far (part of the memo digest).
-    regions_dispatched: u64,
     /// CPU-domain event tracer (disabled unless `cfg.trace` is on).
     tracer: Tracer,
-    /// Memoized-phase-replay runtime state (inert without a plan).
-    memo: MemoRt,
-}
-
-/// Iteration-start samples retained per licensed loop: the longest
-/// steady-state period the engine can detect. Physical rotation (e.g.
-/// barrier-line ownership migrating to the last arriver, which shifts who
-/// arrives last next time) makes many loops periodic with period > 1, so
-/// convergence is sought against every retained sample, not just the
-/// previous iteration's.
-const MEMO_HISTORY: usize = 8;
-
-/// Give up memoization after this many consecutive samples taken with a
-/// full history and no period found. Cold caches typically settle within
-/// a few iterations; a loop that has not become periodic after a full
-/// history plus eight more samples is doing something the fixed-point
-/// argument cannot exploit, and every further sample is pure overhead.
-const MEMO_MAX_STRIKES: u32 = 8;
-
-/// One iteration-start machine-state sample.
-struct MemoSample {
-    /// Licensed frame's `cur` at the sampled boundary (period measure).
-    cur: i64,
-    /// Release time of the boundary the sample was taken at.
-    at: Cycle,
-    /// Time-shift-normalized digest of the complete machine state.
-    digest: Vec<u64>,
-    /// Monotone counter snapshot (the δ source).
-    counters: Vec<u64>,
-}
-
-/// Sampling state for the licensed loop currently being executed.
-struct MemoActive {
-    /// Body node of the licensed `For` frame being tracked.
-    body: NodeId,
-    /// `cur` of the licensed frame at the last inspected boundary; a
-    /// change marks the first boundary of a new iteration (the only
-    /// sampling point).
-    last_cur: i64,
-    /// Recent iteration-start samples, oldest first.
-    samples: Vec<MemoSample>,
-}
-
-/// Memoized-phase-replay runtime state. Inert (every check one branch)
-/// when the plan is empty.
-struct MemoRt {
-    plan: MemoPlan,
-    active: Option<MemoActive>,
-    /// Consecutive non-converging sample pairs.
-    strikes: u32,
-    disabled: bool,
-    diag: MemoDiag,
-}
-
-impl MemoRt {
-    fn new(plan: MemoPlan) -> Self {
-        MemoRt {
-            plan,
-            active: None,
-            strikes: 0,
-            disabled: false,
-            diag: MemoDiag::default(),
-        }
-    }
-}
-
-/// The innermost licensed `For` frame on a stack, as
-/// `(body, var, cur, end, step)`.
-fn licensed_for(frames: &[Frame], plan: &MemoPlan) -> Option<(NodeId, VarId, i64, i64, u64)> {
-    frames.iter().rev().find_map(|f| match f {
-        Frame::For {
-            var,
-            cur,
-            end,
-            step,
-            body,
-        } if plan.lookup(*body).is_some() => Some((*body, *var, *cur, *end, *step)),
-        _ => None,
-    })
-}
-
-/// Encode one protocol frame into digest words. The licensed loop's own
-/// `cur` is normalized to zero — it is the loop clock, advancing every
-/// iteration by construction; everything else is raw. `DynP` schedules
-/// and `RedP` operators are derived deterministically from the node and
-/// carry no timing state of their own, so the node/target ids cover them.
-fn memo_frame_words(f: &Frame, licensed: NodeId, out: &mut Vec<u64>) {
-    match f {
-        Frame::Seq { node, idx } => out.extend([1, node.0 as u64, *idx as u64]),
-        Frame::For {
-            var,
-            cur,
-            end,
-            step,
-            body,
-        } => out.extend([
-            2,
-            var.0 as u64,
-            if *body == licensed { 0 } else { *cur as u64 },
-            *end as u64,
-            *step,
-            body.0 as u64,
-        ]),
-        Frame::ChunkIter {
-            var,
-            chunks,
-            ci,
-            cur,
-            body,
-        } => {
-            out.extend([3, var.0 as u64, chunks.len() as u64]);
-            for ch in chunks {
-                out.extend([ch.lo as u64, ch.hi as u64]);
-            }
-            out.extend([*ci as u64, *cur as u64, body.0 as u64]);
-        }
-        Frame::LoopEnd { node, stage } => out.extend([4, node.0 as u64, *stage as u64]),
-        Frame::Bar { internal, stage } => out.extend([5, *internal as u64, *stage as u64]),
-        Frame::SingleP { node, enc, stage } => {
-            out.extend([6, node.0 as u64, *enc as u64, *stage as u64])
-        }
-        Frame::SectionsP {
-            node,
-            enc,
-            stage,
-            claimed,
-        } => out.extend([
-            7,
-            node.0 as u64,
-            *enc as u64,
-            *stage as u64,
-            *claimed as u64,
-        ]),
-        Frame::DynP {
-            node,
-            enc,
-            lo,
-            hi,
-            stage,
-            chunk,
-            ..
-        } => out.extend([
-            8,
-            node.0 as u64,
-            *enc as u64,
-            *lo as u64,
-            *hi as u64,
-            *stage as u64,
-            chunk.lo as u64,
-            chunk.hi as u64,
-        ]),
-        Frame::CritP { lock, body, stage } => {
-            out.extend([9, *lock as u64, body.0 as u64, *stage as u64])
-        }
-        Frame::RedP { red, stage } => out.extend([10, red.target.0 as u64, *stage as u64]),
-        Frame::RegionP { node, stage } => out.extend([11, node.0 as u64, *stage as u64]),
-        Frame::RegionEndP { stage } => out.extend([12, *stage as u64]),
-        Frame::PoolWait => out.push(13),
-        Frame::IoP {
-            input,
-            bytes,
-            stage,
-        } => out.extend([14, *input as u64, *bytes, *stage as u64]),
-    }
 }
 
 const MASTER: usize = 0; // the master's OpenMP thread id
@@ -622,22 +460,6 @@ impl<'p> Engine<'p> {
         ms.set_trace(&cfg.trace);
         let map = AddressMap::new(&cfg.machine);
         let base_line = cp.runtime_base / map.line_bytes();
-        // Arm the memo plan only when nothing can perturb the certified
-        // iteration dynamics: no mutation, faults, OS noise, or tracing,
-        // and a deterministic single/double run (slipstream pairs have
-        // their own recovery machinery the fixed-point argument does not
-        // cover). Anything else leaves the plan empty — a memo-off run.
-        let memo_armed = !cfg.memo.is_empty()
-            && cfg.mutation == EngineMutation::None
-            && cfg.os_noise.is_none()
-            && !cfg.trace.is_on()
-            && cfg.faults.is_empty()
-            && cfg.mode != ExecMode::Slipstream;
-        let memo = MemoRt::new(if memo_armed {
-            cfg.memo.clone()
-        } else {
-            MemoPlan::default()
-        });
         let mut eng = Engine {
             cp,
             layout,
@@ -668,9 +490,7 @@ impl<'p> Engine<'p> {
             sched_grabs_total: 0,
             sched_steals_total: 0,
             fault_fired,
-            regions_dispatched: 0,
             tracer: Tracer::new(&cfg.trace, TrackDomain::Cpu),
-            memo,
             cfg,
         };
         eng.init();
@@ -2138,15 +1958,6 @@ impl<'p> Engine<'p> {
                 };
                 match released {
                     Some(waiters) => {
-                        // Memoized phase replay: a non-internal barrier
-                        // release is a certified phase boundary — the only
-                        // point where a licensed loop may bulk-jump. Runs
-                        // before the waiter wakes so a jump shifts every
-                        // timeline first and the wakes land at the
-                        // post-jump release time.
-                        if !internal {
-                            self.memo_boundary(ci, &waiters);
-                        }
                         let t = self.cpus[ci].timeline.now();
                         if self.tracer.is_on() {
                             let generation = if internal {
@@ -2841,7 +2652,6 @@ impl<'p> Engine<'p> {
         }
 
         debug_assert_eq!(stage, 0);
-        self.regions_dispatched += 1;
         let resolved = if self.cfg.mode != ExecMode::Slipstream {
             RegionSlip::Off
         } else {
@@ -3224,359 +3034,7 @@ impl<'p> Engine<'p> {
             machine,
             events: self.events,
             trace,
-            memo: self.memo.diag,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Memoized phase replay.
-//
-// `omp-analyze` licenses serial loops whose barrier phases are all
-// `Pure`/`ReplaySafe`: each iteration performs the same communication
-// pattern, so iteration dynamics are a function of the machine state at the
-// iteration's first barrier boundary alone. The engine is deterministic and
-// time-shift covariant (no absolute-time behavior), so if two consecutive
-// iterations start from the identical normalized state, *every* remaining
-// iteration repeats the same per-iteration deltas `(δ, Δ)` — counters and
-// time respectively — and the last `k` iterations collapse to `+k·δ`,
-// `+k·Δ`. The final iteration still executes live so its tail (loop exit,
-// region teardown) is real.
-//
-// Soundness is by induction on digest equality: the digest covers all
-// mutable engine and memory-system state that can influence future events
-// (frames, variables, clock offsets, caches, directories, network, MSHRs,
-// classifier), normalized by subtracting the boundary release time from
-// every embedded clock and zeroing the licensed induction variable. Two
-// documented diagnostics are exempt from the bit-identity contract:
-// `RunResult::events` (the engine's processed-event count) and
-// `Lock::acquisitions` (skipped iterations process no events and take no
-// locks); neither feeds stats fingerprints.
-impl<'p> Engine<'p> {
-    /// Inspect a non-internal barrier release: sample at iteration starts
-    /// of licensed loops and bulk-jump once a fixed point is reached.
-    /// `ci` is the releasing processor, `waiters` the processors it woke.
-    fn memo_boundary(&mut self, ci: usize, waiters: &[CpuId]) {
-        if self.memo.disabled || self.memo.plan.is_empty() {
-            return;
-        }
-        self.memo.diag.boundaries += 1;
-        let Some((body, var, cur, end, step)) =
-            licensed_for(&self.cpus[ci].frames, &self.memo.plan)
-        else {
-            self.memo.active = None;
-            return;
-        };
-        // Only the first boundary of each iteration samples: the serial
-        // loop frame's `cur` advances exactly once per iteration.
-        if let Some(a) = &self.memo.active {
-            if a.body == body && a.last_cur == cur {
-                return;
-            }
-        }
-        // Runtime guard: the live frame must match its certificate. A
-        // resolved-but-stale plan (recompiled bounds, different program)
-        // is caught here and memoization falls back to full execution.
-        let lp = self.memo.plan.lookup(body).expect("licensed frame").clone();
-        let guard_ok = var == lp.var
-            && end == lp.end
-            && step == lp.step
-            && cur >= lp.begin
-            && (cur - lp.begin) % step as i64 == 0
-            && omp_ir::wsloop::trip_count(lp.begin, end, step) == lp.trip_count
-            && omp_analyze::guard_checksum(var.0, lp.begin, end, step) == lp.guard_checksum;
-        if !guard_ok {
-            self.memo.diag.guard_fallbacks += 1;
-            self.memo.disabled = true;
-            self.memo.diag.disabled = true;
-            self.memo.active = None;
-            return;
-        }
-        // Quiescence: the digest describes the future only if nothing is
-        // in flight — no pending events, every other live processor parked
-        // at this barrier (holding the same licensed frame at the same
-        // iteration), pool-idle, or done, and no armed deadlines. A
-        // non-quiescent boundary is skipped, not a strike: the loop may
-        // still converge at the next iteration.
-        let vars_ok = |c: &CpuState| c.vars[var.0 as usize] == cur - step as i64;
-        let quiescent = self.q.peek_time().is_none()
-            && self.cpus[ci].watchdog_deadline.is_none()
-            && self.cpus[ci].token_wait_deadline.is_none()
-            && vars_ok(&self.cpus[ci])
-            && self.cpus.iter().enumerate().all(|(i, c)| {
-                i == ci
-                    || c.assign == CpuAssignment::Idle
-                    || (matches!(c.status, Status::Parked | Status::PoolIdle | Status::Done)
-                        && c.watchdog_deadline.is_none()
-                        && c.token_wait_deadline.is_none())
-            })
-            && waiters.iter().all(|w| {
-                let c = &self.cpus[w.0];
-                vars_ok(c)
-                    && matches!(
-                        licensed_for(&c.frames, &self.memo.plan),
-                        Some((b, v, wc, we, ws))
-                            if b == body && v == var && wc == cur && we == end && ws == step
-                    )
-            });
-        if !quiescent {
-            self.memo.active = Some(MemoActive {
-                body,
-                last_cur: cur,
-                samples: Vec::new(),
-            });
-            return;
-        }
-        let at = self.cpus[ci].timeline.now();
-        let digest = self.memo_digest(at, body, var);
-        let mut counters = Vec::new();
-        self.memo_take_counters(&mut counters);
-        self.memo.diag.samples += 1;
-        let mut active = match self.memo.active.take() {
-            Some(a) if a.body == body => a,
-            _ => MemoActive {
-                body,
-                last_cur: cur,
-                samples: Vec::new(),
-            },
-        };
-        active.last_cur = cur;
-        // Seek the steady-state period: the most recent retained sample
-        // with an identical normalized digest. Determinism plus time-shift
-        // covariance make digest equality at distance p a proof that the
-        // machine repeats with period p iterations from here on.
-        let hit = active
-            .samples
-            .iter()
-            .rev()
-            .find(|s| s.digest == digest)
-            .map(|s| (s.cur, s.at, s.counters.clone()));
-        let Some((prev_cur, prev_at, prev_counters)) = hit else {
-            if active.samples.len() >= MEMO_HISTORY {
-                active.samples.remove(0);
-                self.memo.strikes += 1;
-                if self.memo.strikes >= MEMO_MAX_STRIKES {
-                    self.memo.disabled = true;
-                    self.memo.diag.disabled = true;
-                    self.memo.active = None;
-                    return;
-                }
-            }
-            active.samples.push(MemoSample {
-                cur,
-                at,
-                digest,
-                counters,
-            });
-            self.memo.active = Some(active);
-            return;
-        };
-        self.memo.strikes = 0;
-        // The current iteration has value `cur - step` (the frame
-        // pre-advances); `remaining` counts it plus every future one. Jump
-        // `j` whole periods of `p` iterations, keeping at least the
-        // current iteration's tail (and the loop exit) live.
-        let p = ((cur - prev_cur) / step as i64) as u64;
-        let remaining = omp_ir::wsloop::trip_count(cur - step as i64, end, step);
-        let j = remaining.saturating_sub(1) / p;
-        if j == 0 {
-            if active.samples.len() >= MEMO_HISTORY {
-                active.samples.remove(0);
-            }
-            active.samples.push(MemoSample {
-                cur,
-                at,
-                digest,
-                counters,
-            });
-            self.memo.active = Some(active);
-            return;
-        }
-        let period_t = at - prev_at;
-        let jump = j * period_t;
-        let delta: Vec<u64> = counters
-            .iter()
-            .zip(prev_counters.iter())
-            .map(|(now, then)| now - then)
-            .collect();
-        // j periods of counters, and j periods of time on every live
-        // clock — waiters' clocks shift too, so their wake-time park
-        // attribution matches the unjumped run exactly.
-        self.memo_apply_counters(&delta, j);
-        for c in &mut self.cpus {
-            if c.assign != CpuAssignment::Idle && c.status != Status::Done {
-                c.timeline.memo_shift(jump);
-            }
-        }
-        self.ms.memo_shift(at, jump);
-        // Land the whole team at the same phase `j` periods later: advance
-        // the licensed frame and induction variable by j·p steps.
-        let hop = (j * p) as i64 * step as i64;
-        for id in waiters.iter().map(|w| w.0).chain([ci]) {
-            let c = &mut self.cpus[id];
-            for f in c.frames.iter_mut() {
-                if let Frame::For {
-                    body: b, cur: fc, ..
-                } = f
-                {
-                    if *b == body {
-                        *fc += hop;
-                    }
-                }
-            }
-            c.vars[var.0 as usize] += hop;
-        }
-        self.memo.diag.engagements += 1;
-        self.memo.diag.jumped_iterations += j * p;
-        // The tail (at most p iterations plus the loop exit) executes
-        // live; sampling restarts from scratch if the loop somehow
-        // re-converges before exiting.
-        self.memo.active = Some(MemoActive {
-            body,
-            last_cur: cur + hop,
-            samples: Vec::new(),
-        });
-    }
-
-    /// Time-shift-normalized digest of the complete machine state at a
-    /// quiescent boundary released at `at`. Embedded clocks are encoded as
-    /// offsets from `at`; the licensed loop's `cur` and induction variable
-    /// are zeroed (they are the loop clock). `Done` processors contribute
-    /// their status only — `finish()` advances every clock to the common
-    /// end, so their frozen timelines carry no future-relevant state.
-    fn memo_digest(&self, at: Cycle, licensed_body: NodeId, var: VarId) -> Vec<u64> {
-        debug_assert!(self.pairs.is_empty(), "memo never arms in slipstream mode");
-        let mut out: Vec<u64> = Vec::with_capacity(512);
-        // Global control state.
-        out.push(self.current_region.map_or(0, |n| n.0 as u64 + 1));
-        out.push(self.job_gen);
-        out.push(u64::from(self.master_done));
-        out.push(self.regions_dispatched);
-        // Homed-line allocator and per-encounter runtime-line pools: growth
-        // tripwires. A construct inside the loop that allocates fresh lines
-        // each encounter (single, sections, dynamic loop) keeps these
-        // moving and correctly blocks convergence.
-        out.extend(self.alloc_next.iter().copied());
-        out.push(self.single_lines.len() as u64);
-        out.push(self.sections_lines.len() as u64);
-        out.push(self.sched_locks.len() as u64);
-        out.push(self.sched_counter_lines.len() as u64);
-        out.push(self.affinity_locks.len() as u64);
-        // Barrier occupancy after the release (generation deliberately
-        // excluded: it advances once per boundary and is compared only for
-        // watchdog staleness, which quiescence already rules out).
-        out.push(self.construct_barrier.arrived() as u64);
-        out.push(self.construct_barrier.waiting() as u64);
-        out.push(self.region_barrier.arrived() as u64);
-        out.push(self.region_barrier.waiting() as u64);
-        // Locks: holder + queue depth (acquisition totals are diagnostics,
-        // exempt from bit-identity). At a quiescent boundary every lock is
-        // free, but encode them anyway — cheap and future-proof.
-        for l in self
-            .critical_locks
-            .iter()
-            .chain([&self.reduction_lock])
-            .chain(&self.sched_locks)
-            .chain(self.affinity_locks.iter().flatten())
-        {
-            out.push(l.holder().map_or(0, |c| c.0 as u64 + 1));
-            out.push(l.queue_len() as u64);
-        }
-        // Per-processor state. `next_wake` is dead while parked (always
-        // overwritten by the wake) and excluded.
-        for (i, c) in self.cpus.iter().enumerate() {
-            if c.assign == CpuAssignment::Idle {
-                continue;
-            }
-            out.push(i as u64);
-            out.push(match c.status {
-                Status::Ready => 0,
-                Status::Parked => 1,
-                Status::PoolIdle => 2,
-                Status::Done => 3,
-            });
-            if matches!(c.status, Status::Done) {
-                continue;
-            }
-            out.push(at - c.timeline.now());
-            out.push(c.park_class.index() as u64);
-            out.push(c.pending_class.map_or(0, |t| t.index() as u64 + 1));
-            out.push(c.singles_seen as u64);
-            out.push(c.sections_seen as u64);
-            out.push(c.dynloops_seen as u64);
-            out.push(c.jobs_taken);
-            out.push(c.vars.len() as u64);
-            for (vi, v) in c.vars.iter().enumerate() {
-                out.push(if vi == var.0 as usize { 0 } else { *v as u64 });
-            }
-            out.push(c.frames.len() as u64);
-            for f in &c.frames {
-                memo_frame_words(f, licensed_body, &mut out);
-            }
-        }
-        // The entire memory system: caches, directories, network, memory,
-        // live MSHRs (as time offsets), classifier.
-        self.ms.memo_digest(at, &mut out);
-        out
-    }
-
-    /// Snapshot every monotone counter the bit-identity contract covers.
-    /// Order must match [`Engine::memo_apply_counters`] exactly. Dynamic-
-    /// loop arena totals are omitted: a dynamic loop inside the licensed
-    /// body bumps `dynloops_seen`, which blocks convergence, so their δ is
-    /// provably zero at any engagement.
-    fn memo_take_counters(&self, out: &mut Vec<u64>) {
-        for c in &self.cpus {
-            if c.assign == CpuAssignment::Idle {
-                continue;
-            }
-            c.timeline.stats.memo_counters(out);
-            out.extend([
-                c.user.loads,
-                c.user.stores,
-                c.user.atomics,
-                c.user.compute_cycles,
-                c.user.io_in,
-                c.user.io_out,
-                c.stores_converted,
-                c.stores_skipped,
-                c.interrupts,
-            ]);
-        }
-        out.extend([self.sched_grabs_total, self.sched_steals_total]);
-        self.ms.memo_counters(out);
-    }
-
-    /// Apply `k` copies of the per-iteration counter delta, mirroring
-    /// [`Engine::memo_take_counters`] slot for slot.
-    fn memo_apply_counters(&mut self, delta: &[u64], k: u64) {
-        let mut idx = 0usize;
-        for c in &mut self.cpus {
-            if c.assign == CpuAssignment::Idle {
-                continue;
-            }
-            c.timeline.stats.memo_apply(delta, &mut idx, k);
-            for field in [
-                &mut c.user.loads,
-                &mut c.user.stores,
-                &mut c.user.atomics,
-                &mut c.user.compute_cycles,
-                &mut c.user.io_in,
-                &mut c.user.io_out,
-                &mut c.stores_converted,
-                &mut c.stores_skipped,
-                &mut c.interrupts,
-            ] {
-                *field += delta[idx] * k;
-                idx += 1;
-            }
-        }
-        for field in [&mut self.sched_grabs_total, &mut self.sched_steals_total] {
-            *field += delta[idx] * k;
-            idx += 1;
-        }
-        self.ms.memo_apply(delta, &mut idx, k);
-        debug_assert_eq!(idx, delta.len(), "counter vectors out of sync");
     }
 }
 
@@ -3593,7 +3051,7 @@ impl<'p> Engine<'p> {
 
 /// Version of the engine snapshot payload format. Bumped on any change
 /// to the serialized layout; [`Engine::restore`] rejects other versions.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 fn snap_expr(w: &mut snap::Writer, e: &Expr) {
     match e {
@@ -4124,7 +3582,6 @@ impl<'p> Engine<'p> {
         w.u64(self.events);
         w.u64(self.sched_grabs_total);
         w.u64(self.sched_steals_total);
-        w.u64(self.regions_dispatched);
         self.tracer.snapshot(&mut w);
         snap::seal(SNAPSHOT_VERSION, &w.into_bytes())
     }
@@ -4220,7 +3677,6 @@ impl<'p> Engine<'p> {
         self.events = r.u64()?;
         self.sched_grabs_total = r.u64()?;
         self.sched_steals_total = r.u64()?;
-        self.regions_dispatched = r.u64()?;
         self.tracer = Tracer::restore(r)?;
         Ok(())
     }

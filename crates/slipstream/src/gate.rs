@@ -9,15 +9,10 @@
 //! the simulation proceeds exactly as before, bit-identical to an
 //! ungated run. [`GateMode::Deny`] refuses to run programs with
 //! deny-severity findings (data races, unbalanced synchronization).
-//!
-//! The decision needs only the analyzer's hazard passes
-//! ([`analyze_hazards`]). Phase-purity certification feeds memoized
-//! replay alone, so it runs only for memo runs (see
-//! [`run_program`](crate::runner::run_program)).
 
 use crate::policy::{AAction, AStreamPolicy};
 use dsm_sim::MachineConfig;
-use omp_analyze::{analyze_hazards, AnalysisReport, AnalyzeConfig, GateMode, SkipModel};
+use omp_analyze::{analyze, AnalysisReport, AnalyzeConfig, GateMode, SkipModel};
 use omp_ir::node::Program;
 use omp_rt::mode::SlipSync;
 
@@ -57,9 +52,7 @@ pub fn analyze_config(
     cfg
 }
 
-/// Run the analyzer's hazard passes according to `gate`. The report's
-/// `certificates` and `replay_loops` are empty: certification is not part
-/// of the gate.
+/// Run the analyzer according to `gate`.
 ///
 /// Returns `Ok(None)` for [`GateMode::Allow`] (analysis skipped),
 /// `Ok(Some(report))` when analysis ran and the program may proceed, and
@@ -73,35 +66,16 @@ pub fn gate_program(
     if gate == GateMode::Allow {
         return Ok(None);
     }
-    let report = analyze_hazards(program, cfg);
-    admit(program, gate, &report)?;
-    Ok(Some(report))
-}
-
-/// The gate decision on an analysis `report` of `program`: `Err` with the
-/// rendered hazard findings when `gate` is [`GateMode::Deny`] and the
-/// report has deny-severity findings. Certificates are left out of the
-/// message, so a memo run, whose report carries them, refuses with the
-/// same text as any other run.
-pub(crate) fn admit(
-    program: &Program,
-    gate: GateMode,
-    report: &AnalysisReport,
-) -> Result<(), String> {
+    let report = analyze(program, cfg);
     if gate == GateMode::Deny && report.deny_count() > 0 {
-        let hazards = AnalysisReport {
-            certificates: Vec::new(),
-            replay_loops: Vec::new(),
-            ..report.clone()
-        };
         return Err(format!(
             "slipstream gate: refusing to run `{}` with {} deny-severity finding(s)\n{}",
             program.name,
             report.deny_count(),
-            hazards.render_text()
+            report.render_text()
         ));
     }
-    Ok(())
+    Ok(Some(report))
 }
 
 #[cfg(test)]

@@ -27,16 +27,17 @@ pub mod compile;
 pub mod exec;
 pub mod faults;
 pub mod gate;
-pub mod memo;
 pub mod pairing;
 pub mod policy;
 pub mod report;
 pub mod runner;
 
 pub use compile::{compile, CompiledProgram};
-pub use exec::{Engine, EngineConfig, EngineMutation, OsNoise, RunResult, SNAPSHOT_VERSION};
+pub use exec::{
+    build_plan, Engine, EngineConfig, EngineMutation, MemoPlan, OsNoise, RunResult,
+    SNAPSHOT_VERSION,
+};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, PairLedger};
-pub use memo::{build_plan, MemoDiag, MemoLoop, MemoPlan};
 pub use pairing::{Decision, PairState};
 pub use policy::{AAction, AStreamPolicy, RecoveryPolicy};
 pub use report::stats_fingerprint;

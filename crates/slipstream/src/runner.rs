@@ -7,7 +7,7 @@
 use crate::compile::{compile, CompiledProgram};
 use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
 use crate::faults::FaultPlan;
-use crate::gate::{admit, analyze_config, gate_program};
+use crate::gate::{analyze_config, gate_program};
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{AddressMap, Cycle, FillCounts, MachineConfig, TimeBreakdown, TimeClass};
 use omp_analyze::{AnalysisReport, GateMode};
@@ -42,13 +42,11 @@ pub struct RunOptions {
     /// Structured event tracing (observation-only; off by default).
     pub trace: TraceConfig,
     /// Slipstream-safety gate. The default, [`GateMode::Warn`], runs the
-    /// `omp-analyze` hazard passes ([`omp_analyze::analyze_hazards`])
-    /// before the simulation and attaches the report to the summary
-    /// without affecting the run (stats stay bit-identical to an ungated
-    /// run). [`GateMode::Deny`] refuses to run programs with
-    /// deny-severity findings; [`GateMode::Allow`] skips analysis
-    /// entirely. Phase-purity certification is not part of the gate: it
-    /// runs only when [`memo`](Self::memo) is on.
+    /// `omp-analyze` analyzer ([`omp_analyze::analyze`]) before the
+    /// simulation and attaches the report to the summary without
+    /// affecting the run (stats stay bit-identical to an ungated run).
+    /// [`GateMode::Deny`] refuses to run programs with deny-severity
+    /// findings; [`GateMode::Allow`] skips analysis entirely.
     pub gate: GateMode,
     /// Simulated-cycle budget override. `None` keeps the engine's default
     /// (effectively unbounded for kernels of sane size); `Some(n)` makes
@@ -58,19 +56,13 @@ pub struct RunOptions {
     /// Seeded engine-mutation class (fuzzer self-check only). The
     /// default, [`EngineMutation::None`], is the production engine.
     pub mutation: EngineMutation,
-    /// Engine threads. The engine is serial; must be 1. Every runner
-    /// entry point returns `Err` for any other value.
+    /// Held for perfbench until the benchmark change: the engine is
+    /// serial, so this must be 1. Every runner entry point returns `Err`
+    /// for any other value.
     pub workers: usize,
-    /// Memoized phase replay (default off). When on, the run analyzes the
-    /// program once in full ([`omp_analyze::analyze`]: hazard passes plus
-    /// certification), takes the gate decision from that report, and
-    /// compiles its replay-loop licenses into a [`crate::MemoPlan`]; the
-    /// engine bulk-jumps converged iterations of certified loops. A
-    /// memo-off run never certifies. Results are bit-identical to a
-    /// memo-off run; the engine arms the plan only for deterministic
-    /// single/double runs (no faults, mutation, noise, or tracing) and
-    /// falls back to full execution whenever the runtime guard
-    /// contradicts a certificate.
+    /// Held for perfbench until the benchmark change: the engine has no
+    /// memoized replay, so this must be false. Every runner entry point
+    /// returns `Err` when it is true.
     pub memo: bool,
 }
 
@@ -161,12 +153,6 @@ impl RunOptions {
         self.os_noise = Some(noise);
         self
     }
-
-    /// Enable memoized phase replay (certified-loop bulk jumps).
-    pub fn with_memo(mut self, on: bool) -> Self {
-        self.memo = on;
-        self
-    }
 }
 
 /// Everything a figure needs from one run.
@@ -188,10 +174,7 @@ pub struct RunSummary {
     pub raw: RunResult,
     /// Static-analysis report from the pre-run safety gate (`None` when
     /// the gate is [`GateMode::Allow`] or the program was run through
-    /// [`run_compiled`] directly). It holds the hazard passes' findings
-    /// and region summaries; `certificates` and `replay_loops` are filled
-    /// only for memo runs ([`RunOptions::memo`]), the one consumer of
-    /// certification.
+    /// [`run_compiled`] directly).
     pub analysis: Option<AnalysisReport>,
 }
 
@@ -244,41 +227,29 @@ fn mode_label(mode: ExecMode, sync: Option<SlipSync>) -> String {
 pub fn run_program(program: &Program, opts: &RunOptions) -> Result<RunSummary, String> {
     check_options(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
-    // The gate needs only the hazard passes. Memoized replay also needs
-    // the certification pass's replay-loop licenses, so a memo run
-    // analyzes once in full and takes both the gate decision and the plan
-    // from that one report.
-    let report = if opts.memo {
-        let report = omp_analyze::analyze(program, &acfg);
-        admit(program, opts.gate, &report)?;
-        Some(report)
-    } else {
-        gate_program(program, opts.gate, &acfg)?
-    };
+    let report = gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
-    let memo = match &report {
-        Some(report) if opts.memo => crate::memo::build_plan(report, &cp),
-        _ => crate::MemoPlan::default(),
-    };
     let label = mode_label(opts.mode, opts.sync);
-    let mut cfg = engine_config(opts);
-    cfg.memo = memo;
-    let raw = Engine::new(&cp, cfg).run()?;
+    let raw = Engine::new(&cp, engine_config(opts)).run()?;
     let mut summary = summarize(program.name.clone(), label, raw);
-    summary.analysis = report.filter(|_| opts.gate != GateMode::Allow);
+    summary.analysis = report;
     Ok(summary)
 }
 
 /// Reject options the engine cannot run — a machine
-/// [`MachineConfig::validate`] refuses, or a worker count other than 1 —
-/// before any analysis, compile or engine build can trip over them.
+/// [`MachineConfig::validate`] refuses, a worker count other than 1, or
+/// memo on — before any analysis, compile or engine build can trip over
+/// them.
 fn check_options(opts: &RunOptions) -> Result<(), String> {
     if opts.workers != 1 {
         return Err(format!(
             "invalid workers: {} (the engine is serial; must be 1)",
             opts.workers
         ));
+    }
+    if opts.memo {
+        return Err("invalid memo: true (the engine has no memoized replay; must be false)".into());
     }
     opts.machine
         .validate()

@@ -11,7 +11,8 @@ use omp_rt::{ExecMode, RuntimeEnv, SlipSync};
 use slipstream::compile;
 use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
 use slipstream::runner::{
-    checkpoint_compiled, resume_compiled, run_compiled, run_program, RunOptions,
+    checkpoint_compiled, checkpoint_program, resume_compiled, resume_program, run_compiled,
+    run_program, RunOptions,
 };
 use slipstream::{stats_fingerprint, TraceConfig, TraceEvent};
 
@@ -161,6 +162,39 @@ fn more_than_one_worker_is_an_error() {
     ] {
         let err = err.unwrap_or_else(|| panic!("{entry} accepted workers = 2"));
         assert!(err.contains("workers"), "{entry}: {err}");
+    }
+}
+
+#[test]
+fn memo_run_is_an_error() {
+    // The engine has no memoized replay: every runner entry point
+    // refuses `memo = true` before it builds anything.
+    let mut b = ProgramBuilder::new("memo");
+    let a = b.shared_array("a", 64, 8);
+    let i = b.var();
+    b.parallel(move |r| {
+        r.par_for(None, i, 0, 64, move |body| body.load(a, Expr::v(i)));
+    });
+    let p = b.build();
+    let plain = RunOptions::new(ExecMode::Single).with_machine(machine(4));
+    let cp = compile(&p, &AddressMap::new(&plain.machine)).unwrap();
+    let ck = checkpoint_compiled(&cp, &plain, 1).unwrap();
+    let mut o = plain.clone();
+    o.memo = true;
+    let name = || p.name.clone();
+    for (entry, err) in [
+        ("run_program", run_program(&p, &o).err()),
+        ("run_compiled", run_compiled(&cp, name(), &o).err()),
+        ("checkpoint_compiled", checkpoint_compiled(&cp, &o, 1).err()),
+        ("checkpoint_program", checkpoint_program(&p, &o, 1).err()),
+        (
+            "resume_compiled",
+            resume_compiled(&cp, name(), &o, &ck.bytes).err(),
+        ),
+        ("resume_program", resume_program(&p, &o, &ck.bytes).err()),
+    ] {
+        let err = err.unwrap_or_else(|| panic!("{entry} accepted memo = true"));
+        assert!(err.contains("memo"), "{entry}: {err}");
     }
 }
 
