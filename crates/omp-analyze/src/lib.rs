@@ -37,6 +37,7 @@
 
 pub mod finding;
 pub mod report;
+mod strided;
 mod walk;
 
 pub use finding::{Finding, Hazard, Severity};
@@ -541,6 +542,50 @@ mod tests {
         assert!(r.regions[0].max_window_lines > r.regions[0].max_phase_lines);
         // Same program analyzed with the paper L2 is clean.
         assert!(analyze(&p, &cfg4()).is_clean());
+    }
+
+    #[test]
+    fn unbounded_token_window_spans_every_phase() {
+        // 2,000 barrier phases of 64 fresh lines each under a token count
+        // no region can exhaust: the window is the whole region.
+        let body = Node::For {
+            var: VarId(0),
+            begin: Expr::c(0),
+            end: Expr::c(2000),
+            step: 1,
+            body: Box::new(Node::Seq(vec![
+                Node::For {
+                    var: VarId(1),
+                    begin: Expr::c(0),
+                    end: Expr::c(64),
+                    step: 1,
+                    body: Box::new(Node::Load {
+                        array: ArrayId(0),
+                        index: Expr::v(VarId(0)) * Expr::c(512) + Expr::v(VarId(1)) * Expr::c(8),
+                    }),
+                },
+                Node::Barrier,
+            ])),
+        };
+        let p = prog(
+            "lead",
+            vec![arr("a", 2000 * 512)],
+            2,
+            Node::Parallel {
+                body: Box::new(body),
+                slipstream: Some(omp_ir::node::SlipstreamClause {
+                    sync: SlipSyncType::GlobalSync,
+                    tokens: u64::MAX,
+                }),
+            },
+        );
+        let r = analyze(&p, &AnalyzeConfig::paper().with_threads(1));
+        assert_eq!(r.visits, 132_001);
+        assert_eq!(r.regions[0].phases, 2001);
+        assert_eq!(r.regions[0].max_phase_lines, 64);
+        assert_eq!(r.regions[0].max_window_lines, 128_000);
+        let stale: Vec<_> = r.findings.iter().map(|f| f.hazard).collect();
+        assert_eq!(stale, [Hazard::StalePrefetch], "{}", r.render_text());
     }
 
     #[test]

@@ -24,6 +24,22 @@
 //!    the largest union over the window of phases the A-stream may lead
 //!    (tokens + 1 for global sync, tokens + 2 for local) is compared
 //!    against L2 capacity.
+//!
+//! A region is walked in **enumerating mode** — every (thread,
+//! iteration, access) recorded in the element ledger, the exact
+//! reference — until it has taken `PROBE_VISITS` visits. A region still
+//! walking then is large, and is walked again from the start in
+//! **summary mode**: a loop whose body holds only accesses, compute, I/O
+//! and flushes is charged all its visits at once, each of its accesses
+//! becomes a few strided element runs (closed form for a clamped linear
+//! index, coalesced per-iteration values otherwise), every other access
+//! is a one-element run, and footprints become line ranges. At region end
+//! a screen looks for two runs that could race. If none can, and the runs
+//! could not have filled the ledger's cap, the summaries are the report:
+//! the enumerating walk would have found no race either. Otherwise — a
+//! possible race, a cap, or a visit budget that runs out inside the
+//! region — the walker restores its state from before the region and
+//! enumerates the whole region.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -38,6 +54,7 @@ use omp_ir::wsloop;
 
 use crate::finding::{Finding, Hazard};
 use crate::report::{RegionReport, SkipSet};
+use crate::strided::{closed_form, gcd, max_window_union, Lines, Prog};
 use crate::AnalyzeConfig;
 
 /// Who executes an access: a fixed thread (static schedules, region
@@ -167,6 +184,70 @@ fn insert_slot(slots: &mut [Option<Slot>; 2], s: Slot) {
     }
 }
 
+/// How a region walk records accesses for conflict detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Strided runs, screened for possible races at region end.
+    Summary,
+    /// One ledger record per (phase, array, element): the reference.
+    Enumerate,
+}
+
+/// A summary-mode record: elements of one array that one executor
+/// accesses under one protection in one phase.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    phase: u32,
+    array: u32,
+    exec: Exec,
+    prot: Prot,
+    write: bool,
+    elems: Prog,
+}
+
+/// Could two runs of one (phase, array) race? The ledger's conflict rule
+/// applied to whole element sets.
+fn may_race(a: &Run, b: &Run) -> bool {
+    a.exec != b.exec && (a.write || b.write) && !covered(a.prot, b.prot) && a.elems.meets(&b.elems)
+}
+
+/// The walker state a region walk may change, saved so that the region
+/// can be walked again from the same start.
+#[derive(Clone, Copy)]
+struct Checkpoint {
+    findings: usize,
+    suppressed: u64,
+    budget: u64,
+    truncated: bool,
+    once_ctr: u32,
+    side_effects: u64,
+    paths: usize,
+    locks: usize,
+}
+
+/// Collect the leaves of a flat loop body — accesses, compute, I/O and
+/// flushes, possibly nested in `Seq`s, but no loop, construct or
+/// synchronization — in walk order, each with its position in the
+/// enclosing `Seq`. False when the body holds anything else.
+fn flat_leaves<'p>(n: &'p Node, idx: u32, out: &mut Vec<(&'p Node, u32)>) -> bool {
+    match n {
+        Node::Seq(v) => v
+            .iter()
+            .enumerate()
+            .all(|(k, c)| flat_leaves(c, k as u32, out)),
+        Node::Load { .. }
+        | Node::Store { .. }
+        | Node::Atomic { .. }
+        | Node::Compute(_)
+        | Node::Io { .. }
+        | Node::Flush => {
+            out.push((n, idx));
+            true
+        }
+        _ => false,
+    }
+}
+
 #[derive(Clone, Copy)]
 struct Scope {
     exec: Exec,
@@ -192,8 +273,22 @@ enum AccessOp {
     Atomic,
 }
 
-/// Walk aborted: visit budget exhausted.
-struct Stop;
+/// Why a region walk stopped early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// The visit budget ran out (or, in summary mode, the summaries
+    /// cannot describe the region exactly).
+    Budget,
+    /// An enumerating walk passed the region's probe: the region is large
+    /// enough for summaries.
+    Probe,
+}
+
+/// Visits after which an enumerating region walk gives up and the region
+/// is walked in summary mode instead. Below it, summaries cannot pay for
+/// their screen: a fuzz-campaign program takes at most ~1.5k visits, while
+/// each paper kernel's region takes at least 78k.
+const PROBE_VISITS: u64 = 4096;
 
 pub(crate) struct WalkOutput {
     pub findings: Vec<Finding>,
@@ -216,6 +311,8 @@ struct Walker<'p> {
     // Findings.
     findings: Vec<Finding>,
     reported: FastSet<(Hazard, u32, u32)>,
+    /// Dedup keys `reported` gained in the current region walk.
+    reported_log: Vec<(Hazard, u32, u32)>,
     per_hazard: FastMap<Hazard, usize>,
     suppressed: u64,
     // Program-wide state.
@@ -229,12 +326,33 @@ struct Walker<'p> {
     side_effects: u64,
     has_sync_memo: FastMap<u32, bool>,
     // Per-region scratch.
+    mode: Mode,
     ledger: Ledger,
+    runs: Vec<Run>,
+    /// Scratch for the screen's sweep.
+    active: Vec<Run>,
     skipped_stores: FastMap<(u32, u64), (u32, u32)>,
-    phase_lines: Vec<FastSet<u64>>,
+    /// Per array, the earliest phase of a `skipped_stores` entry
+    /// (`u32::MAX`, or an empty list: none), so summary mode knows which
+    /// loads cannot read a stale element.
+    stale_from: Vec<u32>,
+    phase_lines: Vec<Lines>,
     barrier_counts: Vec<u64>,
     for_trips: BTreeMap<u32, Vec<u64>>,
     skip: SkipSet,
+    /// Scratch for one flat loop's leaves.
+    leaves: Vec<(&'p Node, u32)>,
+    /// Visits an enumerating region walk may take before the region
+    /// switches to summary mode (`PROBE_VISITS`).
+    probe: u64,
+    /// The budget at which the current walk passes its probe.
+    probe_until: Option<u64>,
+    /// Regions reported from summaries, and regions whose summary walk
+    /// fell back to enumeration.
+    #[cfg_attr(not(test), allow(dead_code))]
+    summaries: u32,
+    #[cfg_attr(not(test), allow(dead_code))]
+    fallbacks: u32,
 }
 
 pub(crate) fn walk(program: &Program, cfg: &AnalyzeConfig) -> WalkOutput {
@@ -268,6 +386,7 @@ impl<'p> Walker<'p> {
             id_stack: Vec::new(),
             findings: Vec::new(),
             reported: FastSet::default(),
+            reported_log: Vec::new(),
             per_hazard: FastMap::default(),
             suppressed: 0,
             locks: HashMap::new(),
@@ -279,12 +398,21 @@ impl<'p> Walker<'p> {
             once_ctr: 0,
             side_effects: 0,
             has_sync_memo: FastMap::default(),
+            mode: Mode::Summary,
             ledger: Ledger::default(),
+            runs: Vec::new(),
+            active: Vec::new(),
             skipped_stores: FastMap::default(),
+            stale_from: Vec::new(),
             phase_lines: Vec::new(),
             barrier_counts: Vec::new(),
             for_trips: BTreeMap::new(),
             skip: SkipSet::default(),
+            leaves: Vec::new(),
+            probe: PROBE_VISITS,
+            probe_until: None,
+            summaries: 0,
+            fallbacks: 0,
         }
     }
 
@@ -360,6 +488,7 @@ impl<'p> Walker<'p> {
         if !self.reported.insert((hazard, ka, kb)) {
             return;
         }
+        self.reported_log.push((hazard, ka, kb));
         let cnt = self.per_hazard.entry(hazard).or_insert(0);
         if *cnt >= self.cfg.max_reported_per_hazard {
             self.suppressed += 1;
@@ -383,7 +512,10 @@ impl<'p> Walker<'p> {
     fn spend(&mut self) -> Result<(), Stop> {
         if self.budget == 0 {
             self.truncated = true;
-            return Err(Stop);
+            return Err(Stop::Budget);
+        }
+        if Some(self.budget) == self.probe_until {
+            return Err(Stop::Probe);
         }
         self.budget -= 1;
         Ok(())
@@ -416,7 +548,7 @@ impl<'p> Walker<'p> {
 
     fn ensure_phase(&mut self, phase: u32) {
         while self.phase_lines.len() <= phase as usize {
-            self.phase_lines.push(FastSet::default());
+            self.phase_lines.push(Lines::default());
         }
     }
 
@@ -431,7 +563,7 @@ impl<'p> Walker<'p> {
 
     // ---- serial (top-level) walk ----------------------------------------
 
-    fn top(&mut self, n: &Node, idx: u32) {
+    fn top(&mut self, n: &'p Node, idx: u32) {
         match n {
             Node::Seq(v) => {
                 for (k, c) in v.iter().enumerate() {
@@ -464,17 +596,53 @@ impl<'p> Walker<'p> {
 
     // ---- region walk ----------------------------------------------------
 
-    fn region(&mut self, body: &Node, clause: SlipstreamClause) {
+    /// Walk one region: in enumerating mode while it is small, else in
+    /// summary mode, falling back to a full enumerating walk when the
+    /// summaries cannot stand in for it.
+    fn region(&mut self, body: &'p Node, clause: SlipstreamClause) {
+        let region_path = self.cur_path();
+        let start = self.checkpoint();
+        self.probe_until = start.budget.checked_sub(self.probe);
+        let mut stop = self.walk_region(body, Mode::Enumerate).err();
+        self.probe_until = None;
+        if stop == Some(Stop::Probe) {
+            self.restore(start);
+            let summarized = self.walk_region(body, Mode::Summary).is_ok() && {
+                let visits = start.budget - self.budget;
+                self.screen(visits.saturating_mul(16).saturating_add(4096))
+            };
+            if summarized {
+                self.summaries += 1;
+                stop = None;
+            } else {
+                self.fallbacks += 1;
+                self.restore(start);
+                stop = self.walk_region(body, Mode::Enumerate).err();
+            }
+        }
+        let stopped = stop.is_some();
+        if !stopped {
+            self.check_balance(region_path);
+        }
+        let rr = self.lead_pass(region_path, clause, stopped);
+        self.regions.push(rr);
+    }
+
+    /// One walk of a region by every thread in `mode`. `Err` means the
+    /// walk stopped: on the visit budget or the probe in enumerating mode,
+    /// on anything the summaries cannot express exactly in summary mode.
+    fn walk_region(&mut self, body: &'p Node, mode: Mode) -> Result<(), Stop> {
+        self.mode = mode;
         self.ledger.clear();
+        self.runs.clear();
         self.skipped_stores.clear();
+        self.stale_from.clear();
         self.phase_lines.clear();
-        self.phase_lines.push(FastSet::default());
+        self.phase_lines.push(Lines::default());
         self.barrier_counts.clear();
         self.for_trips.clear();
         self.skip = SkipSet::default();
-        let region_path = self.cur_path();
-
-        let mut stopped = false;
+        self.reported_log.clear();
         for tid in 0..self.cfg.num_threads {
             let mut t = TState {
                 tid,
@@ -490,21 +658,108 @@ impl<'p> Walker<'p> {
                 ws: false,
             };
             let depth = self.id_stack.len();
-            if self.walk_node(body, &mut t, sc, 0).is_err() {
+            if let Err(stop) = self.walk_node(body, &mut t, sc, 0) {
                 self.id_stack.truncate(depth);
-                stopped = true;
-                break;
+                return Err(stop);
             }
             self.barrier_counts.push(t.barriers);
         }
-        if !stopped {
-            self.check_balance(region_path);
-        }
-        let rr = self.lead_pass(region_path, clause, stopped);
-        self.regions.push(rr);
+        Ok(())
     }
 
-    fn walk_node(&mut self, n: &Node, t: &mut TState, sc: Scope, idx: u32) -> Result<(), Stop> {
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            findings: self.findings.len(),
+            suppressed: self.suppressed,
+            budget: self.budget,
+            truncated: self.truncated,
+            once_ctr: self.once_ctr,
+            side_effects: self.side_effects,
+            paths: self.paths.len(),
+            locks: self.locks.len(),
+        }
+    }
+
+    /// Undo everything a region walk did to program-wide state: findings
+    /// and their dedup keys and per-hazard counts, counters, the budget,
+    /// and the paths and locks it interned.
+    fn restore(&mut self, c: Checkpoint) {
+        for f in self.findings.drain(c.findings..) {
+            *self
+                .per_hazard
+                .get_mut(&f.hazard)
+                .expect("counted when kept") -= 1;
+        }
+        for key in self.reported_log.drain(..) {
+            self.reported.remove(&key);
+        }
+        self.suppressed = c.suppressed;
+        self.budget = c.budget;
+        self.truncated = c.truncated;
+        self.once_ctr = c.once_ctr;
+        self.side_effects = c.side_effects;
+        // Each new path was appended to its parent's child list, after
+        // every older child: pop them newest first.
+        for id in (c.paths..self.paths.len()).rev() {
+            let parent = self.paths[id].0;
+            let popped = self.kids[parent.map_or(0, |p| p as usize + 1)].pop();
+            debug_assert_eq!(popped.map(|(_, k)| k as usize), Some(id));
+        }
+        self.paths.truncate(c.paths);
+        self.kids.truncate(c.paths + 1);
+        self.has_sync_memo
+            .retain(|&fid, _| (fid as usize) < c.paths);
+        self.locks.retain(|_, id| (*id as usize) < c.locks);
+    }
+
+    /// May the summary walk's report stand? True when no two runs could
+    /// race, so the enumerating walk would report no race, and the runs
+    /// hold no more elements than the ledger would have admitted. The
+    /// sweep compares at most `pairs` run pairs (a pair costs a small
+    /// fraction of a visit), so a pathological overlap falls back rather
+    /// than costing more than the enumerating walk.
+    fn screen(&mut self, mut pairs: u64) -> bool {
+        let records: u64 = self.runs.iter().map(|r| r.elems.count).sum();
+        if records > self.cfg.max_state_entries as u64 {
+            return false;
+        }
+        let key = |r: &Run| (r.phase as u64) << 32 | r.array as u64;
+        self.runs.sort_unstable_by_key(key);
+        let active = &mut self.active;
+        for group in self.runs.chunk_by_mut(|a, b| key(a) == key(b)) {
+            // Only a (phase, array) with a write can race.
+            if !group.iter().any(|r| r.write) {
+                continue;
+            }
+            // Each run lies in one residue class modulo the gcd of the
+            // group's strides, and runs of different classes never meet.
+            // Sweep each class in element order, comparing a run with the
+            // earlier runs whose range it overlaps.
+            let g = group
+                .iter()
+                .filter(|r| r.elems.count > 1)
+                .fold(0, |g, r| gcd(g, r.elems.stride));
+            let class = |r: &Run| if g == 0 { r.elems.lo } else { r.elems.lo % g };
+            group.sort_unstable_by_key(|r| (class(r), r.elems.lo));
+            for members in group.chunk_by(|a, b| class(a) == class(b)) {
+                active.clear();
+                for r in members {
+                    active.retain(|a| a.elems.hi() >= r.elems.lo);
+                    let Some(left) = pairs.checked_sub(active.len() as u64) else {
+                        return false;
+                    };
+                    pairs = left;
+                    if active.iter().any(|a| may_race(a, r)) {
+                        return false;
+                    }
+                    active.push(*r);
+                }
+            }
+        }
+        true
+    }
+
+    fn walk_node(&mut self, n: &'p Node, t: &mut TState, sc: Scope, idx: u32) -> Result<(), Stop> {
         if let Node::Seq(v) = n {
             for (k, c) in v.iter().enumerate() {
                 self.walk_node(c, t, sc, k as u32)?;
@@ -518,7 +773,7 @@ impl<'p> Walker<'p> {
         r
     }
 
-    fn walk_inner(&mut self, n: &Node, t: &mut TState, sc: Scope) -> Result<(), Stop> {
+    fn walk_inner(&mut self, n: &'p Node, t: &mut TState, sc: Scope) -> Result<(), Stop> {
         match n {
             Node::Seq(_) => unreachable!("Seq handled in walk_node"),
             Node::Compute(_) => {}
@@ -556,11 +811,15 @@ impl<'p> Walker<'p> {
                         e[t.tid as usize] += trips;
                     }
                 }
-                let mut v = lo;
-                while v < hi {
-                    t.ctx.vars[var.0 as usize] = v;
-                    self.walk_node(body, t, sc, 0)?;
-                    v += *step as i64;
+                let summarized = self.mode == Mode::Summary
+                    && self.flat_loop(lo, hi, *step, *var, body, t, sc)?;
+                if !summarized {
+                    let mut v = lo;
+                    while v < hi {
+                        t.ctx.vars[var.0 as usize] = v;
+                        self.walk_node(body, t, sc, 0)?;
+                        v += *step as i64;
+                    }
                 }
             }
             Node::ParFor {
@@ -789,10 +1048,13 @@ impl<'p> Walker<'p> {
         lo: i64,
         hi: i64,
         var: VarId,
-        body: &Node,
+        body: &'p Node,
         t: &mut TState,
         sc: Scope,
     ) -> Result<(), Stop> {
+        if self.mode == Mode::Summary && self.flat_loop(lo, hi, 1, var, body, t, sc)? {
+            return Ok(());
+        }
         let mut v = lo;
         while v < hi {
             t.ctx.vars[var.0 as usize] = v;
@@ -812,7 +1074,8 @@ impl<'p> Walker<'p> {
         let raw = index.eval(&t.ctx);
         let elem = raw.clamp(0, span.len as i64 - 1) as u64;
         self.ensure_phase(t.phase);
-        self.phase_lines[t.phase as usize].insert(span.element_line(self.cfg.line_bytes, raw));
+        let line = span.element_line(self.cfg.line_bytes, raw);
+        self.phase_lines[t.phase as usize].insert(line);
         let path = self.cur_path();
         let atomic = matches!(op, AccessOp::Atomic);
         let write = !matches!(op, AccessOp::Load);
@@ -832,6 +1095,11 @@ impl<'p> Walker<'p> {
                 self.skipped_stores
                     .entry((array.0, elem))
                     .or_insert((t.phase, path));
+                if self.stale_from.is_empty() {
+                    self.stale_from.resize(self.spans.len(), u32::MAX);
+                }
+                let from = &mut self.stale_from[array.0 as usize];
+                *from = (*from).min(t.phase);
             } else if atomic {
                 self.skip.atomics_executed += 1;
             } else {
@@ -861,6 +1129,17 @@ impl<'p> Walker<'p> {
         }
 
         // Conflict detection.
+        if self.mode == Mode::Summary {
+            self.runs.push(Run {
+                phase,
+                array: array.0,
+                exec: sc.exec,
+                prot,
+                write,
+                elems: Prog::point(elem),
+            });
+            return;
+        }
         let cap = self.cfg.max_state_entries;
         let Some(entry) = self.ledger.entry(phase, array.0, elem, cap) else {
             self.truncated = true;
@@ -905,6 +1184,205 @@ impl<'p> Walker<'p> {
                     exec_label(oexec)
                 ),
             });
+        }
+    }
+
+    // ---- summary mode: flat loops ----------------------------------------
+
+    /// In summary mode, summarize the loop `var = lo, lo + step, .. < hi`
+    /// when its body is flat: charge its visits at once, intern its leaf
+    /// paths in first-iteration order, and record each access as strided
+    /// runs. `Ok(false)` leaves the loop to be walked node by node: a body
+    /// that is not flat, a store the A-stream skips
+    /// or a load that may read a skipped store (both need the per-element
+    /// stale-store map), or a loop counter that would wrap. `Err` when the
+    /// budget runs out inside the loop.
+    #[allow(clippy::too_many_arguments)]
+    fn flat_loop(
+        &mut self,
+        lo: i64,
+        hi: i64,
+        step: u64,
+        var: VarId,
+        body: &'p Node,
+        t: &mut TState,
+        sc: Scope,
+    ) -> Result<bool, Stop> {
+        let trips = wsloop::trip_count(lo, hi, step);
+        if lo as i128 + trips as i128 * step as i128 > i64::MAX as i128 {
+            return Ok(false);
+        }
+        let mut leaves = std::mem::take(&mut self.leaves);
+        leaves.clear();
+        let flat = flat_leaves(body, 0, &mut leaves) && self.summarizable(&leaves, t.phase, sc);
+        let r = if !flat {
+            Ok(false)
+        } else {
+            match trips.checked_mul(leaves.len() as u64) {
+                Some(visits) if visits <= self.budget => {
+                    self.budget -= visits;
+                    if trips > 0 {
+                        self.summarize(&leaves, lo, step, trips, var, t, sc);
+                    }
+                    Ok(true)
+                }
+                _ => Err(Stop::Budget),
+            }
+        };
+        self.leaves = leaves;
+        r
+    }
+
+    fn summarizable(&self, leaves: &[(&Node, u32)], phase: u32, sc: Scope) -> bool {
+        let skip = &self.cfg.skip;
+        leaves.iter().all(|(leaf, _)| match leaf {
+            // The stores and atomics the A-stream skips feed the
+            // stale-store map; reduction combines are exempt.
+            Node::Store { .. } => sc.reduce || (!sc.skipped && skip.convert_shared_stores),
+            Node::Atomic { .. } => sc.reduce || (!sc.skipped && skip.execute_atomic),
+            Node::Load { array, .. } => self
+                .stale_from
+                .get(array.0 as usize)
+                .is_none_or(|&from| from >= phase),
+            _ => true,
+        })
+    }
+
+    /// Record a flat loop's accesses (trips >= 1) as runs and line ranges,
+    /// leaving `var` at its last value as the enumerating loop does.
+    #[allow(clippy::too_many_arguments)]
+    fn summarize(
+        &mut self,
+        leaves: &[(&Node, u32)],
+        lo: i64,
+        step: u64,
+        trips: u64,
+        var: VarId,
+        t: &mut TState,
+        sc: Scope,
+    ) {
+        for &(leaf, idx) in leaves {
+            self.push_seg(node_kind(leaf), idx);
+            self.pop_seg();
+            let (array, index, op) = match leaf {
+                Node::Load { array, index } => (*array, index, AccessOp::Load),
+                Node::Store { array, index } => (*array, index, AccessOp::Store),
+                Node::Atomic { array, index } => (*array, index, AccessOp::Atomic),
+                Node::Io { .. } => {
+                    if t.tid == 0 {
+                        self.skip.io_skipped += trips;
+                    }
+                    if sc.skipped {
+                        self.side_effects += trips;
+                    }
+                    continue;
+                }
+                Node::Flush => {
+                    if t.tid == 0 {
+                        self.skip.flushes_dropped += trips;
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
+            let span = self.spans[array.0 as usize];
+            if !span.shared || span.len == 0 {
+                continue;
+            }
+            let atomic = matches!(op, AccessOp::Atomic);
+            let write = !matches!(op, AccessOp::Load);
+            if write && !sc.reduce {
+                if atomic {
+                    self.skip.atomics_executed += trips;
+                } else {
+                    self.skip.shared_stores_converted += trips;
+                }
+            }
+            let run = |elems| Run {
+                phase: t.phase,
+                array: array.0,
+                exec: sc.exec,
+                prot: Prot {
+                    atomic,
+                    reduce: sc.reduce,
+                    lock: sc.lock,
+                },
+                write,
+                elems,
+            };
+            match closed_form(index, var, &t.ctx, lo, step, trips, span.len) {
+                Some(parts) => {
+                    for elems in parts.into_iter().flatten() {
+                        self.runs.push(run(elems));
+                        self.prog_lines(t.phase, span, elems);
+                    }
+                }
+                None => {
+                    // Coalesce consecutive elements with one stride into
+                    // a run, and adjacent lines into a range.
+                    let top = span.len as i64 - 1;
+                    let lines = &mut self.phase_lines[t.phase as usize];
+                    let mut cur: Option<(u64, i64, u64)> = None;
+                    let mut range: Option<(u64, u64)> = None;
+                    for k in 0..trips {
+                        t.ctx.vars[var.0 as usize] = lo.wrapping_add((k * step) as i64);
+                        let raw = index.eval(&t.ctx);
+                        let e = raw.clamp(0, top) as u64;
+                        cur = match cur {
+                            None => Some((e, 0, 1)),
+                            Some((f, d, c)) => {
+                                let last = f as i64 + d * (c - 1) as i64;
+                                if e as i64 == last {
+                                    cur
+                                } else if c == 1 {
+                                    Some((f, e as i64 - f as i64, 2))
+                                } else if e as i64 == last + d {
+                                    Some((f, d, c + 1))
+                                } else {
+                                    self.runs.push(run(Prog::from_signed(f, d, c)));
+                                    Some((e, 0, 1))
+                                }
+                            }
+                        };
+                        let line = span.element_line(self.cfg.line_bytes, raw);
+                        range = match range {
+                            Some((a, b)) if line + 1 >= a && line <= b + 1 => {
+                                Some((a.min(line), b.max(line)))
+                            }
+                            Some((a, b)) => {
+                                lines.add(a, b);
+                                Some((line, line))
+                            }
+                            None => Some((line, line)),
+                        };
+                    }
+                    if let Some((f, d, c)) = cur {
+                        self.runs.push(run(Prog::from_signed(f, d, c)));
+                    }
+                    if let Some((a, b)) = range {
+                        lines.add(a, b);
+                    }
+                }
+            }
+        }
+        t.ctx.vars[var.0 as usize] = lo.wrapping_add(((trips - 1) * step) as i64);
+    }
+
+    /// Add the lines of `elems` of the array at `span` to `phase`'s
+    /// footprint.
+    fn prog_lines(&mut self, phase: u32, span: ArraySpan, elems: Prog) {
+        let lb = self.cfg.line_bytes;
+        let lines = &mut self.phase_lines[phase as usize];
+        let at = |e: u64| span.base as u128 + e as u128 * span.elem_bytes as u128;
+        if at(elems.hi()) < 1 << 64 {
+            let stride = elems.stride * span.elem_bytes;
+            lines.add_bytes(at(elems.lo) as u64, stride, elems.count, lb);
+        } else {
+            // Only a layout the address space rejects gets here; follow
+            // the element-by-element address arithmetic exactly.
+            for k in 0..elems.count {
+                lines.insert(span.element_line(lb, (elems.lo + k * elems.stride) as i64));
+            }
         }
     }
 
@@ -969,22 +1447,15 @@ impl<'p> Walker<'p> {
             SlipSyncType::None => ("off", 0),
             SlipSyncType::RuntimeSync => ("global", tokens.saturating_add(1)),
         };
-        let max_phase_lines = self
-            .phase_lines
-            .iter()
-            .map(|s| s.len() as u64)
-            .max()
-            .unwrap_or(0);
+        let windowed = window > 1 && !stopped;
+        for lines in &mut self.phase_lines {
+            lines.finish(self.cfg.line_bytes, windowed);
+        }
+        let max_phase_lines = self.phase_lines.iter().map(Lines::count).max().unwrap_or(0);
         let mut max_window_lines = max_phase_lines;
-        if window > 1 && !stopped {
-            for i in 0..self.phase_lines.len() {
-                let hi = (i + window as usize).min(self.phase_lines.len());
-                let mut u = self.phase_lines[i].clone();
-                for s in &self.phase_lines[i + 1..hi] {
-                    u.extend(s.iter().copied());
-                }
-                max_window_lines = max_window_lines.max(u.len() as u64);
-            }
+        if windowed {
+            let w = usize::try_from(window).unwrap_or(usize::MAX);
+            max_window_lines = max_window_lines.max(max_window_union(&self.phase_lines, w));
         }
         if window > 0 && !stopped && max_window_lines > self.cfg.l2_lines {
             self.report(
@@ -1026,11 +1497,34 @@ mod tests {
     use omp_ir::expr::{Expr, VarId};
     use omp_ir::node::ArrayDecl;
 
-    /// Walk `p`; the returned walker's ledger still holds the records of
-    /// the last region.
+    /// Walk `p` as `analyze` does; the returned walker still holds the
+    /// records of the last region.
     fn walked<'p>(p: &'p Program, cfg: &'p AnalyzeConfig) -> Walker<'p> {
+        walked_with_probe(p, cfg, PROBE_VISITS)
+    }
+
+    /// Walk `p` with every region trying summary mode first, however
+    /// small.
+    fn summarized<'p>(p: &'p Program, cfg: &'p AnalyzeConfig) -> Walker<'p> {
+        walked_with_probe(p, cfg, 0)
+    }
+
+    fn walked_with_probe<'p>(p: &'p Program, cfg: &'p AnalyzeConfig, probe: u64) -> Walker<'p> {
         let mut w = Walker::new(p, cfg);
+        w.probe = probe;
         w.top(&p.body, 0);
+        w
+    }
+
+    /// Walk the one region of `p` in enumerating mode only, so the
+    /// element ledger holds its records.
+    fn enumerated<'p>(p: &'p Program, cfg: &'p AnalyzeConfig) -> Walker<'p> {
+        let Node::Parallel { body, .. } = &p.body else {
+            panic!("one region expected");
+        };
+        let mut w = Walker::new(p, cfg);
+        w.push_seg("parallel", 0);
+        assert!(w.walk_region(body, Mode::Enumerate).is_ok());
         w
     }
 
@@ -1082,7 +1576,7 @@ mod tests {
             parfor(2, store_at(Expr::v(VarId(0)) * Expr::c(n - 1))),
         );
         let cfg = AnalyzeConfig::paper().with_threads(4);
-        let w = walked(&p, &cfg);
+        let w = enumerated(&p, &cfg);
         assert!(w.findings.is_empty() && !w.truncated);
         assert_eq!(w.ledger.records, 2);
         assert_eq!(w.ledger.blocks.len(), 2);
@@ -1109,7 +1603,7 @@ mod tests {
         };
         let p = region_over(1 << 40, body);
         let cfg = AnalyzeConfig::paper().with_threads(4);
-        let w = walked(&p, &cfg);
+        let w = enumerated(&p, &cfg);
         assert!(w.findings.is_empty() && !w.truncated);
         assert_eq!(w.ledger.records, trips as usize);
         assert_eq!(w.ledger.blocks.len(), trips as usize);
@@ -1122,7 +1616,7 @@ mod tests {
         // than twice its records.
         let p = region_over(1000, parfor(1000, store_at(Expr::v(VarId(0)))));
         let cfg = AnalyzeConfig::paper().with_threads(4);
-        let w = walked(&p, &cfg);
+        let w = enumerated(&p, &cfg);
         assert_eq!(w.ledger.records, 1000);
         assert_eq!(w.ledger.blocks.len(), 16);
         assert!(w.ledger.slots() <= 2 * w.ledger.records);
@@ -1139,5 +1633,236 @@ mod tests {
         assert!(l.entry(1, 0, 5, 2).is_none());
         assert!(l.entry(0, 0, 5, 2).is_some());
         assert_eq!((l.records, l.blocks.len(), l.slots()), (2, 2, 2));
+    }
+
+    /// Line ranges held across the region's phases.
+    fn line_ranges(w: &Walker) -> usize {
+        w.phase_lines.iter().map(Lines::len).sum()
+    }
+
+    #[test]
+    fn paper_kernels_take_the_summary_path() {
+        let cfg = AnalyzeConfig::paper();
+        for bm in npb_kernels::Benchmark::ALL {
+            let p = bm.build_paper(None);
+            let w = walked(&p, &cfg);
+            assert_eq!((w.summaries, w.fallbacks), (1, 0), "{}", bm.name());
+            assert!(w.findings.is_empty() && !w.truncated, "{}", bm.name());
+            assert_eq!(w.ledger.records, 0);
+        }
+    }
+
+    #[test]
+    fn small_regions_are_enumerated_outright() {
+        let cfg = AnalyzeConfig::paper().with_threads(4);
+        let p = region_over(1000, parfor(1000, store_at(Expr::v(VarId(0)))));
+        let w = walked(&p, &cfg);
+        assert_eq!((w.summaries, w.fallbacks), (0, 0));
+        assert_eq!(w.ledger.records, 1000);
+        // Past the probe, the same loop is summarized.
+        let p = region_over(10_000, parfor(10_000, store_at(Expr::v(VarId(0)))));
+        let w = walked(&p, &cfg);
+        assert_eq!((w.summaries, w.fallbacks), (1, 0));
+        assert_eq!(w.runs.len(), 4);
+    }
+
+    #[test]
+    fn racy_capped_and_budget_stopped_regions_fall_back() {
+        let cfg = AnalyzeConfig::paper().with_threads(4);
+        let clean = region_over(1000, parfor(1000, store_at(Expr::v(VarId(0)))));
+        assert_eq!(summarized(&clean, &cfg).fallbacks, 0);
+
+        let racy = region_over(1000, parfor(1000, store_at(Expr::c(0))));
+        let w = summarized(&racy, &cfg);
+        assert_eq!(w.fallbacks, 1);
+        assert_eq!(w.findings[0].hazard, Hazard::RaceWriteWrite);
+
+        let mut capped = cfg.clone();
+        capped.max_state_entries = 999;
+        let w = summarized(&clean, &capped);
+        assert_eq!(w.fallbacks, 1);
+        assert!(w.truncated && w.findings.is_empty());
+
+        let stopped = cfg.clone().with_budget(500);
+        let w = summarized(&clean, &stopped);
+        assert_eq!(w.fallbacks, 1);
+        assert!(w.truncated && w.findings.is_empty());
+        assert_eq!(w.budget, 0);
+    }
+
+    /// Everything a walk reports.
+    fn output(w: Walker) -> (Vec<Finding>, Vec<RegionReport>, u64, bool, u64) {
+        let visits = w.cfg.visit_budget - w.budget;
+        (w.findings, w.regions, w.suppressed, w.truncated, visits)
+    }
+
+    #[test]
+    fn summaries_report_what_enumeration_reports() {
+        // Small programs walked summary-first must report exactly what
+        // the enumerating walk reports, fallback or not.
+        let v = || Expr::v(VarId(0));
+        let indices = [
+            v(),
+            v() * Expr::c(i64::MAX),
+            Expr::c(63) - v(),
+            v() * Expr::c(3) - Expr::c(10),
+            (v() * Expr::c(2) + Expr::c(5))
+                .max(Expr::c(3))
+                .min(Expr::c(40)),
+            v().rem(Expr::c(7)) * Expr::c(9),
+            v() * Expr::NumThreads + Expr::ThreadId,
+            v() * Expr::c(5) + Expr::ThreadId * Expr::c(7),
+            Expr::c(5),
+        ];
+        let access = |index: &Expr, write: bool| {
+            let index = index.clone();
+            let array = ArrayId(0);
+            if write {
+                Node::Store { array, index }
+            } else {
+                Node::Load { array, index }
+            }
+        };
+        let serial = |body: Node| Node::For {
+            var: VarId(0),
+            begin: Expr::c(-3),
+            end: Expr::c(50),
+            step: 2,
+            body: Box::new(body),
+        };
+        let ws = |sched: Option<ScheduleSpec>, body: Node| Node::ParFor {
+            sched,
+            var: VarId(0),
+            begin: Expr::c(0),
+            end: Expr::c(50),
+            body: Box::new(body),
+            reduction: None,
+            nowait: false,
+        };
+        let scheds = [
+            None,
+            Some(ScheduleSpec {
+                kind: ScheduleKind::Static,
+                chunk: Some(3),
+            }),
+            Some(ScheduleSpec::dynamic(4)),
+            Some(ScheduleSpec::guided()),
+        ];
+        let mut programs = Vec::new();
+        for index in &indices {
+            for write in [false, true] {
+                let flat = || Node::Seq(vec![access(index, write), Node::Compute(Expr::c(1))]);
+                programs.push(region_over(64, serial(flat())));
+                for sched in scheds {
+                    programs.push(region_over(64, ws(sched, flat())));
+                    programs.push(region_over(
+                        64,
+                        Node::Seq(vec![
+                            ws(sched, flat()),
+                            Node::Single(Box::new(access(index, true))),
+                            ws(sched, access(index, false)),
+                            Node::Critical {
+                                name: "c".into(),
+                                body: Box::new(serial(access(index, !write))),
+                            },
+                        ]),
+                    ));
+                }
+            }
+        }
+        for bm in npb_kernels::Benchmark::ALL {
+            programs.push(bm.build_tiny());
+            programs.push(bm.build_tiny_sched(ScheduleSpec::dynamic(2)));
+        }
+        let mut configs = Vec::new();
+        for threads in [1, 4, 16] {
+            let cfg = AnalyzeConfig::paper()
+                .with_threads(threads)
+                .with_sync(SlipSyncType::LocalSync, 2)
+                .with_l2_lines(8);
+            configs.push(cfg.clone());
+            let mut off = cfg.clone();
+            off.skip.convert_shared_stores = false;
+            off.skip.skip_critical = false;
+            configs.push(off);
+        }
+        let (mut summaries, mut fallbacks) = (0, 0);
+        for p in &programs {
+            for cfg in &configs {
+                let w = summarized(p, cfg);
+                summaries += w.summaries;
+                fallbacks += w.fallbacks;
+                let want = output(walked_with_probe(p, cfg, u64::MAX));
+                assert_eq!(output(w), want, "{p:?}");
+            }
+        }
+        assert!(summaries > 0 && fallbacks > 0, "{summaries} {fallbacks}");
+    }
+
+    #[test]
+    fn summary_memory_ignores_array_length() {
+        // Two threads store to the two ends of a 2^60-element array: two
+        // one-element runs and two one-line ranges.
+        let n = 1i64 << 60;
+        let p = region_over(
+            n as u64,
+            parfor(2, store_at(Expr::v(VarId(0)) * Expr::c(n - 1))),
+        );
+        let cfg = AnalyzeConfig::paper().with_threads(4);
+        let w = summarized(&p, &cfg);
+        assert!(w.findings.is_empty() && !w.truncated && w.fallbacks == 0);
+        assert_eq!(w.runs.len(), 2);
+        assert_eq!(line_ranges(&w), 2);
+        assert_eq!(w.ledger.records, 0);
+    }
+
+    #[test]
+    fn summary_memory_follows_accesses_across_phases() {
+        // A read of a[0] and a barrier per iteration of a 10,000-phase
+        // loop: the loop is not flat, so each of the 4 threads' reads is a
+        // one-element run, and each phase holds one line range.
+        let trips = 10_000;
+        let body = Node::For {
+            var: VarId(0),
+            begin: Expr::c(0),
+            end: Expr::c(trips),
+            step: 1,
+            body: Box::new(Node::Seq(vec![
+                Node::Load {
+                    array: ArrayId(0),
+                    index: Expr::c(0),
+                },
+                Node::Barrier,
+            ])),
+        };
+        let p = region_over(1 << 40, body);
+        let cfg = AnalyzeConfig::paper().with_threads(4);
+        let w = summarized(&p, &cfg);
+        assert!(w.findings.is_empty() && !w.truncated && w.fallbacks == 0);
+        assert_eq!(w.runs.len(), 4 * trips as usize);
+        assert_eq!(line_ranges(&w), trips as usize);
+        assert_eq!(w.ledger.records, 0);
+    }
+
+    #[test]
+    fn strided_lines_stay_single_points() {
+        // Every 16th element is every other line: one run per thread, and
+        // one range per distinct line, never per element of the array.
+        let p = region_over(
+            160_000,
+            parfor(
+                10_000,
+                Node::Load {
+                    array: ArrayId(0),
+                    index: Expr::v(VarId(0)) * Expr::c(16),
+                },
+            ),
+        );
+        let cfg = AnalyzeConfig::paper().with_threads(4);
+        let w = summarized(&p, &cfg);
+        assert!(w.findings.is_empty() && !w.truncated && w.fallbacks == 0);
+        assert_eq!(w.runs.len(), 4);
+        assert_eq!(line_ranges(&w), 10_000);
+        assert_eq!(w.phase_lines[0].count(), 10_000);
     }
 }
