@@ -53,7 +53,10 @@ fn find(set: &[[u64; 2]], line: LineAddr) -> Option<usize> {
 /// Every way lives in one flat store with `ways` slots per set: set `s`
 /// is `store[s * ways..][..lens[s]]`, and a slot past its set's length is
 /// never read. A way is `[line << 1 | modified, last_use]`, 16 bytes, so a
-/// 4-way set fills one 64-byte host line.
+/// 4-way set fills one 64-byte host line. The store starts empty and
+/// grows, zero-filled, to the end of the highest set a line is written
+/// into: a run that touches a few dozen lines never zeroes a 1 MB L2's
+/// 256 KiB of ways.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     store: Vec<[u64; 2]>,
@@ -78,8 +81,7 @@ impl SetAssocCache {
             "associativity {ways} outside 1..=255"
         );
         SetAssocCache {
-            // Zeroed allocations: nothing is written until a set fills.
-            store: vec![[0u64; 2]; num_sets as usize * ways],
+            store: Vec::new(),
             lens: vec![0; num_sets as usize],
             ways,
             set_mask: num_sets - 1,
@@ -93,13 +95,40 @@ impl SetAssocCache {
         (line.0 & self.set_mask) as usize
     }
 
-    /// The resident ways of set `s`, in storage order.
+    /// The resident ways of set `s`, in storage order. An empty set may
+    /// lie past the end of the store.
     fn set(&self, s: usize) -> &[[u64; 2]] {
-        &self.store[s * self.ways..][..self.lens[s] as usize]
+        match self.lens[s] {
+            0 => &[],
+            n => &self.store[s * self.ways..][..n as usize],
+        }
     }
 
     fn set_mut(&mut self, s: usize) -> &mut [[u64; 2]] {
-        &mut self.store[s * self.ways..][..self.lens[s] as usize]
+        match self.lens[s] {
+            0 => &mut [],
+            n => &mut self.store[s * self.ways..][..n as usize],
+        }
+    }
+
+    /// All `ways` slots of set `s`, growing the store to cover them first.
+    fn slots_mut(&mut self, s: usize) -> &mut [[u64; 2]] {
+        let end = (s + 1) * self.ways;
+        if self.store.len() < end {
+            self.grow(end);
+        }
+        &mut self.store[s * self.ways..end]
+    }
+
+    /// Zero-fill the store to `end` slots. The first growth allocates all
+    /// `num_sets * ways` slots, untouched, so growing set by set never
+    /// copies the store: a run that fills every set pays one allocation
+    /// and the zeroing, as when the store was allocated up front.
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        let total = self.lens.len() * self.ways;
+        self.store.reserve_exact(total - self.store.len());
+        self.store.resize(end, [0; 2]);
     }
 
     fn tick(&mut self) -> u64 {
@@ -147,7 +176,7 @@ impl SetAssocCache {
         let s = self.set_index(line);
         let ways = self.ways;
         let len = self.lens[s] as usize;
-        let set = &mut self.store[s * ways..][..ways];
+        let set = self.slots_mut(s);
         let way = [word_of(line, state), t];
         if let Some(pos) = find(&set[..len], line) {
             set.swap(0, pos);
@@ -204,6 +233,12 @@ impl SetAssocCache {
         self.lens.iter().map(|&n| n as usize).sum()
     }
 
+    /// Way slots the store has allocated (tests).
+    #[cfg(test)]
+    pub(crate) fn slot_capacity(&self) -> usize {
+        self.store.capacity()
+    }
+
     /// Serialize the full cache state (geometry, LRU clock, every way in
     /// storage order, hit/miss counters).
     pub fn snapshot(&self, w: &mut snap::Writer) {
@@ -244,13 +279,16 @@ impl SetAssocCache {
             if len > self.ways {
                 return Err(corrupt("cache set length"));
             }
-            for slot in &mut self.store[s * self.ways..][..len] {
-                let line = r.u64()?;
-                if line >> 63 != 0 || (line & self.set_mask) as usize != s {
-                    return Err(corrupt("cache line"));
+            if len > 0 {
+                let set_mask = self.set_mask;
+                for slot in &mut self.slots_mut(s)[..len] {
+                    let line = r.u64()?;
+                    if line >> 63 != 0 || (line & set_mask) as usize != s {
+                        return Err(corrupt("cache line"));
+                    }
+                    let modified = r.bool()?;
+                    *slot = [line << 1 | modified as u64, r.u64()?];
                 }
-                let modified = r.bool()?;
-                *slot = [line << 1 | modified as u64, r.u64()?];
             }
             self.lens[s] = len as u8;
         }
@@ -585,6 +623,88 @@ mod tests {
         assert_eq!((l2.num_sets(), l2.associativity), (4096, 4));
         for seed in 0..2 {
             assert!(drive(&l2, 0x12 ^ seed, 600, 3) > 20);
+        }
+    }
+
+    fn paper_geometries() -> [CacheConfig; 2] {
+        let m = crate::MachineConfig::paper();
+        [m.l1, m.l2]
+    }
+
+    #[test]
+    fn fresh_caches_hold_no_way_slots() {
+        for cfg in paper_geometries() {
+            let mut c = SetAssocCache::new(&cfg);
+            let mut nested = NestedCache::new(&cfg);
+            assert_eq!((c.store.len(), c.slot_capacity()), (0, 0));
+            // Probes of untouched sets, the last one included, read
+            // nothing and grow nothing.
+            let last = LineAddr(cfg.num_sets() - 1);
+            assert_eq!(c.peek(last), None);
+            assert_eq!(c.access(last), nested.access(last));
+            assert!(!c.set_state(last, LineState::Modified));
+            assert_eq!(c.invalidate(last), None);
+            assert!(bytes(|w| c.snapshot(w)) == bytes(|w| nested.snapshot(w)));
+            assert_eq!(c.slot_capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn store_grows_to_the_highest_written_set() {
+        for cfg in paper_geometries() {
+            let num_sets = cfg.num_sets();
+            let ways = cfg.associativity as usize;
+            let mut c = SetAssocCache::new(&cfg);
+            let mut g = SplitMix64::new(0x5E75 ^ num_sets);
+            // Sets below a rising bound, then the last set.
+            let order: Vec<u64> = (0..num_sets - 1)
+                .map(|i| g.below(i + 1))
+                .chain([num_sets - 1])
+                .collect();
+            let mut highest = 0;
+            let mut base = None;
+            for s in order {
+                assert_eq!(c.peek(LineAddr(num_sets - 1)), None);
+                highest = highest.max(s as usize);
+                c.insert(LineAddr(s + num_sets * g.below(3)), LineState::Shared);
+                assert_eq!(c.store.len(), (highest + 1) * ways, "set {s}");
+                // One allocation of the whole cache: growth never moves it.
+                assert_eq!(c.slot_capacity(), num_sets as usize * ways);
+                assert_eq!(*base.get_or_insert(c.store.as_ptr()), c.store.as_ptr());
+            }
+        }
+    }
+
+    #[test]
+    fn restore_of_a_last_set_line_round_trips_into_a_fresh_cache() {
+        for cfg in paper_geometries() {
+            let num_sets = cfg.num_sets();
+            let last = num_sets - 1;
+            let mut a = SetAssocCache::new(&cfg);
+            // Empty sets restore without growing the store.
+            let empty = restored(&cfg, &bytes(|w| a.snapshot(w))).expect("restore");
+            assert_eq!(empty.slot_capacity(), 0);
+            a.insert(LineAddr(last + num_sets), LineState::Modified);
+            let snap = bytes(|w| a.snapshot(w));
+            let mut b = restored(&cfg, &snap).expect("restore");
+            assert_eq!(
+                b.store.len(),
+                num_sets as usize * cfg.associativity as usize
+            );
+            assert!(bytes(|w| b.snapshot(w)) == snap);
+            // Overfill the last set by two: every peek and victim agrees.
+            let mut victims = 0;
+            for k in 0..=cfg.associativity as u64 {
+                let line = LineAddr(last + num_sets * (k + 2));
+                let v = a.insert(line, LineState::Shared);
+                assert_eq!(v, b.insert(line, LineState::Shared));
+                victims += v.is_some() as usize;
+                for l in (1..k + 3).map(|t| LineAddr(last + num_sets * t)) {
+                    assert_eq!(a.peek(l), b.peek(l), "line {}", l.0);
+                }
+            }
+            assert_eq!(victims, 2);
+            assert!(bytes(|w| a.snapshot(w)) == bytes(|w| b.snapshot(w)));
         }
     }
 

@@ -1018,6 +1018,24 @@ mod tests {
     }
 
     #[test]
+    fn caches_hold_no_way_slots_before_the_first_access() {
+        let mut ms = sys();
+        let slots = |ms: &MemSystem| -> Vec<usize> {
+            let l1 = ms.l1.iter().map(SetAssocCache::slot_capacity);
+            l1.chain(ms.l2.iter().map(SetAssocCache::slot_capacity))
+                .collect()
+        };
+        assert!(slots(&ms).iter().all(|&n| n == 0), "{:?}", slots(&ms));
+        // A load fills the requester's L1 and its CMP's L2 and nothing else.
+        let mut st = CpuStats::default();
+        let addr = shared_addr(&ms, 64);
+        ms.access(CpuId(0), addr, AccessKind::Load, 0, &mut st);
+        let after = slots(&ms);
+        let grown: Vec<usize> = (0..after.len()).filter(|&i| after[i] > 0).collect();
+        assert_eq!(grown, [0, ms.l1.len()], "{after:?}");
+    }
+
+    #[test]
     fn restore_checks_counts_against_the_machine() {
         let used = || {
             let mut ms = sys();
