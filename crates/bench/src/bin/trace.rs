@@ -17,8 +17,9 @@
 use bench::{small_machine, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
-use sim_trace::{analyze, chrome_trace_json, validate_chrome_trace, TraceConfig};
+use sim_trace::{analyze, TraceConfig};
 use slipstream::runner::{run_program, RunOptions};
+use slipstream::{chrome_trace_json, validate_chrome_trace};
 
 fn main() {
     let bench = bench::env::string_or("TRACE_BENCH", "cg");

@@ -14,8 +14,7 @@ pub mod pool;
 use npb_kernels::{Benchmark, CgParams, Grid3};
 use omp_ir::expr::Expr;
 use omp_ir::node::{Node, Program, ScheduleSpec, SlipSyncType, SlipstreamClause};
-use omp_ir::serialize::escape_json;
-use omp_ir::{BlockBuilder, ProgramBuilder};
+use omp_ir::{escape_json, BlockBuilder, ProgramBuilder};
 use omp_rt::mode::{ExecMode, SlipSync};
 use omp_rt::RuntimeEnv;
 use slipstream::runner::{run_program, RunOptions, RunSummary};
@@ -282,34 +281,6 @@ pub fn throughput_config_string(
         "v1|cmps={}|cpus={}|l2b={}|preset={preset}|bm={benchmark}|mode={mode}|trace={trace}",
         machine.num_cmps, machine.cpus_per_cmp, machine.l2.size_bytes,
     )
-}
-
-/// Time a closure `iters` times and print a one-line report with the
-/// best wall time. The `benches/` entry points are plain `harness =
-/// false` mains built on this (the workspace carries no criterion
-/// dependency); the returned value is the last simulated cycle count so
-/// the work cannot be optimized away.
-pub fn bench_point(name: &str, iters: u32, mut f: impl FnMut() -> u64) -> u64 {
-    let mut best = u128::MAX;
-    let mut out = 0u64;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        out = std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_nanos());
-    }
-    println!(
-        "{name:<40} {:>10.3} ms/iter (best of {iters})",
-        best as f64 / 1e6
-    );
-    // Machine-readable twin of the human line, for scripts tracking the
-    // perf trajectory across commits.
-    println!(
-        "BENCH_JSON {{\"bench\":\"{}\",\"best_ns\":{},\"iters\":{}}}",
-        escape_json(name),
-        best,
-        iters
-    );
-    out
 }
 
 /// The static-analyzer sweep corpus: every NPB kernel (tiny + paper

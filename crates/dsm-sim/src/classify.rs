@@ -285,9 +285,9 @@ impl Classifier {
         self.live.len()
     }
 
-    /// Serialize the full classifier state. Live records are written
-    /// sorted by key — `FastMap` iteration order is not deterministic,
-    /// the snapshot must be.
+    /// Serialize the classifier state, without its tracer. Live records
+    /// are written sorted by key — `FastMap` iteration order is not
+    /// deterministic, the snapshot must be.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         let mut live: Vec<(u64, FillRecord)> = self.live.iter().map(|(k, v)| (*k, *v)).collect();
         live.sort_unstable_by_key(|(k, _)| *k);
@@ -307,10 +307,10 @@ impl Classifier {
                 w.u64(c);
             }
         }
-        self.tracer.snapshot(w);
     }
 
-    /// Restore a classifier written by [`Classifier::snapshot`].
+    /// Restore a classifier written by [`Classifier::snapshot`], with
+    /// tracing off.
     pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
         let live_entries = r.seq(|r| {
             let k = r.u64()?;
@@ -343,7 +343,7 @@ impl Classifier {
         Ok(Classifier {
             live: live_entries.into_iter().collect(),
             counts,
-            tracer: Tracer::restore(r)?,
+            tracer: Tracer::disabled(TrackDomain::Cmp),
         })
     }
 }

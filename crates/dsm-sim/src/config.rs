@@ -167,13 +167,6 @@ impl MachineConfig {
             + m.bus_time
     }
 
-    /// Extra latency when a miss must be forwarded to a third (owner) node
-    /// holding the line dirty: one more network hop plus remote NI time.
-    pub fn three_hop_extra_ns(&self) -> u64 {
-        let m = &self.mem_ns;
-        m.net_time + m.ni_remote_dc_time
-    }
-
     /// Local miss latency in CPU cycles.
     pub fn local_miss_cycles(&self) -> u64 {
         self.ns_to_cycles(self.local_miss_ns())

@@ -84,11 +84,11 @@ impl CpuTimeline {
         self.spans.take().map(|log| log.finish())
     }
 
-    /// Serialize the full timeline state (clock, counters, span log).
+    /// Serialize the timeline state (clock and counters; the span log is
+    /// not written, as checkpoints are untraced).
     pub fn snapshot(&self, w: &mut snap::Writer) {
         w.u64(self.now);
         self.stats.snapshot(w);
-        w.opt(&self.spans, |w, log| log.snapshot(w));
     }
 
     /// Overwrite this timeline with snapshot state. Unlike [`place_at`],
@@ -98,7 +98,6 @@ impl CpuTimeline {
     pub fn restore_into(&mut self, r: &mut snap::Reader) -> Result<(), snap::SnapError> {
         self.now = r.u64()?;
         self.stats = CpuStats::restore(r)?;
-        self.spans = r.opt(|r| Ok(Box::new(SpanLog::restore(r)?)))?;
         Ok(())
     }
 }

@@ -178,11 +178,6 @@ impl Directory {
         }
     }
 
-    /// Number of lines with directory state.
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Serialize the directory. Entries are written sorted by line address
     /// — `FastMap` iteration order is not deterministic, the snapshot must
     /// be.

@@ -95,12 +95,6 @@ pub struct MemSystem {
     mshr: Vec<FastMap<LineAddr, Cycle>>,
     /// Stream role of each processor (set by the execution layer).
     roles: Vec<StreamRole>,
-    /// Slipstream self-invalidation hints: an A-stream read of a dirty
-    /// remote line makes the owner write back and drop its copy (the
-    /// producer "self-invalidates" on the consumer's future-reference
-    /// hint), so the producer's next write re-acquires the line from
-    /// memory without a 3-hop transfer.
-    self_invalidation: bool,
     /// Shared-fill classifier for Figures 3 and 5.
     pub classifier: Classifier,
     /// Trace sink for L2 fill events, one track per CMP (disabled by
@@ -137,7 +131,6 @@ impl MemSystem {
             mem: MemoryControllers::new(cfg),
             mshr: (0..cfg.num_cmps).map(|_| FastMap::default()).collect(),
             roles: vec![StreamRole::Solo; cfg.num_cpus()],
-            self_invalidation: false,
             classifier: Classifier::new(),
             tracer: Tracer::disabled(TrackDomain::Cmp),
             l1_lat: cfg.l1.hit_latency,
@@ -171,11 +164,6 @@ impl MemSystem {
     /// Stream role of a processor.
     pub fn role(&self, cpu: CpuId) -> StreamRole {
         self.roles[cpu.0]
-    }
-
-    /// Enable or disable slipstream self-invalidation hints.
-    pub fn set_self_invalidation(&mut self, on: bool) {
-        self.self_invalidation = on;
     }
 
     /// True when `cmp` has a free MSHR at `now` — the resource-contention
@@ -344,7 +332,7 @@ impl MemSystem {
                 // Upgrade: S→M through the directory, no data transfer from
                 // DRAM needed.
                 stats.l2_misses += 1;
-                let (complete, remote) = self.fetch_line(cmp, line, true, true, false, t_lookup);
+                let (complete, remote) = self.fetch_line(cmp, line, true, true, t_lookup);
                 self.l2[cmp.0].set_state(line, LineState::Modified);
                 self.note_fill(
                     cmp,
@@ -376,12 +364,7 @@ impl MemSystem {
 
         // ---- Full miss: fetch through home directory ----
         stats.l2_misses += 1;
-        let hint = self.self_invalidation
-            && !needs_m
-            && shared
-            && role == StreamRole::A
-            && kind == AccessKind::Load;
-        let (complete, remote) = self.fetch_line(cmp, line, needs_m, false, hint, t_lookup);
+        let (complete, remote) = self.fetch_line(cmp, line, needs_m, false, t_lookup);
         let new_state = if needs_m {
             LineState::Modified
         } else {
@@ -469,19 +452,14 @@ impl MemSystem {
     }
 
     /// Walk the directory protocol for one fetch. `exclusive` selects
-    /// GetX/GetS; `upgrade_only` skips the DRAM data access;
-    /// `hint_self_invalidation` (A-stream reads when the feature is on)
-    /// makes a dirty owner write back and drop the line instead of
-    /// keeping a Shared copy. Returns (completion cycle, whether the
-    /// network was crossed).
-    #[allow(clippy::too_many_arguments)]
+    /// GetX/GetS; `upgrade_only` skips the DRAM data access. Returns
+    /// (completion cycle, whether the network was crossed).
     fn fetch_line(
         &mut self,
         cmp: CmpId,
         line: LineAddr,
         exclusive: bool,
         upgrade_only: bool,
-        hint_self_invalidation: bool,
         t0: Cycle,
     ) -> (Cycle, bool) {
         let home = self.map.home_of(line);
@@ -550,23 +528,10 @@ impl MemSystem {
                     tf = self.net.in_port(owner, tf, self.ni_remote_occ);
                 }
                 tf += self.l2_lat;
-                // GetS normally leaves the owner with a Shared copy; GetX
+                // GetS leaves the owner with a Shared copy; GetX
                 // invalidated it above (owner is in the invalidate list).
-                // With a self-invalidation hint, the owner writes back and
-                // drops the line entirely.
                 if !exclusive {
-                    if hint_self_invalidation && owner != cmp {
-                        if self.l2[owner.0].invalidate(line).is_some() {
-                            self.l2_invalidations += 1;
-                            self.classifier.on_drop(owner, line);
-                        }
-                        self.invalidate_l1s(owner, line);
-                        self.mshr[owner.0].remove(&line);
-                        let home2 = self.map.home_of(line);
-                        self.dirs[home2.0].evict_shared(line, owner);
-                    } else {
-                        self.l2[owner.0].set_state(line, LineState::Shared);
-                    }
+                    self.l2[owner.0].set_state(line, LineState::Shared);
                 }
                 if owner != cmp {
                     tf += self.net_delay;
@@ -631,11 +596,6 @@ impl MemSystem {
         }
     }
 
-    /// Diagnostic access to the per-CPU L1 (tests).
-    pub fn l1_of(&self, cpu: CpuId) -> &SetAssocCache {
-        &self.l1[cpu.0]
-    }
-
     /// Diagnostic access to the per-CMP L2 (tests).
     pub fn l2_of(&self, cmp: CmpId) -> &SetAssocCache {
         &self.l2[cmp.0]
@@ -653,9 +613,10 @@ impl MemSystem {
 
     /// Serialize the mutable memory-system state. Config-derived fields
     /// (address map, latencies) are rebuilt by [`MemSystem::new`] on
-    /// restore, so only caches, directories, resources, MSHRs, roles, the
-    /// classifier, and tracers are written. MSHR maps are written sorted
-    /// by line address for determinism.
+    /// restore, so only caches, directories, resources, MSHRs, roles and
+    /// the classifier are written; tracers are not (checkpoints are
+    /// untraced). MSHR maps are written sorted by line address for
+    /// determinism.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         w.seq(&self.l1, |w, c| c.snapshot(w));
         w.seq(&self.l2, |w, c| c.snapshot(w));
@@ -678,9 +639,7 @@ impl MemSystem {
                 StreamRole::A => 2,
             });
         });
-        w.bool(self.self_invalidation);
         self.classifier.snapshot(w);
-        self.tracer.snapshot(w);
         w.u64(self.l2_evictions);
         w.u64(self.l2_invalidations);
     }
@@ -722,9 +681,7 @@ impl MemSystem {
                 _ => return Err(snap::SnapError::Corrupt { what: "StreamRole" }),
             };
         }
-        self.self_invalidation = r.bool()?;
         self.classifier = Classifier::restore(r)?;
-        self.tracer = Tracer::restore(r)?;
         self.l2_evictions = r.u64()?;
         self.l2_invalidations = r.u64()?;
         Ok(())
@@ -833,6 +790,9 @@ mod tests {
         let r4 = ms.access(CpuId(2), addr, AccessKind::Load, r3.complete, &mut st);
         assert!(r4.remote);
         assert_eq!(ms.dir_of(CmpId(0)).three_hop_fetches, 1);
+        // The read leaves the former owner with a Shared copy.
+        assert_eq!(ms.l2_of(CmpId(0)).peek(line), Some(LineState::Shared));
+        assert_eq!(ms.l2_of(CmpId(1)).peek(line), Some(LineState::Shared));
     }
 
     #[test]
@@ -945,52 +905,6 @@ mod tests {
         assert!(!ms.mshr_free(CmpId(0), 0));
         // Long after everything lands, MSHRs are free again.
         assert!(ms.mshr_free(CmpId(0), 1_000_000));
-    }
-
-    #[test]
-    fn self_invalidation_hint_drops_the_owner_copy() {
-        let mut ms = sys();
-        ms.set_self_invalidation(true);
-        ms.set_role(CpuId(0), StreamRole::R);
-        ms.set_role(CpuId(1), StreamRole::A);
-        ms.set_role(CpuId(2), StreamRole::R);
-        ms.set_role(CpuId(3), StreamRole::A);
-        let mut st = CpuStats::default();
-        let addr = shared_addr(&ms, 0);
-        let line = ms.map().line_of(addr);
-        // Producer (CMP 1) writes the line.
-        let w = ms.access(CpuId(2), addr, AccessKind::Store, 0, &mut st);
-        assert_eq!(ms.l2_of(CmpId(1)).peek(line), Some(LineState::Modified));
-        // Consumer's A-stream (CPU 1, CMP 0) reads it: 3-hop fetch, and
-        // the hint makes the producer drop its copy.
-        ms.access(CpuId(1), addr, AccessKind::Load, w.complete, &mut st);
-        assert_eq!(
-            ms.l2_of(CmpId(1)).peek(line),
-            None,
-            "owner self-invalidated"
-        );
-        assert_eq!(ms.l2_of(CmpId(0)).peek(line), Some(LineState::Shared));
-        // The producer's next write needs only the consumer invalidated —
-        // no dirty-owner forward.
-        let hops_before = ms.dir_of(CmpId(0)).three_hop_fetches;
-        ms.access(
-            CpuId(2),
-            addr,
-            AccessKind::Store,
-            w.complete + 5000,
-            &mut st,
-        );
-        assert_eq!(
-            ms.dir_of(CmpId(0)).three_hop_fetches,
-            hops_before,
-            "rewrite is a 2-hop memory fetch"
-        );
-        // Without the hint, an R-stream read keeps the owner Shared.
-        let addr2 = shared_addr(&ms, 64);
-        let line2 = ms.map().line_of(addr2);
-        let w2 = ms.access(CpuId(2), addr2, AccessKind::Store, 50_000, &mut st);
-        ms.access(CpuId(0), addr2, AccessKind::Load, w2.complete, &mut st);
-        assert_eq!(ms.l2_of(CmpId(1)).peek(line2), Some(LineState::Shared));
     }
 
     #[test]

@@ -49,18 +49,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 
-    /// The raw generator state, for checkpointing.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuild a generator from a checkpointed [`state`].
-    ///
-    /// [`state`]: SplitMix64::state
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
-
     /// An independent generator derived from this one's seed and `tag`
     /// (substreams for per-entity randomness that stays stable when other
     /// entities draw more or fewer values).

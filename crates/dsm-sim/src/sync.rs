@@ -40,13 +40,6 @@ impl Barrier {
         }
     }
 
-    /// Change the participant count (between episodes only).
-    pub fn set_total(&mut self, total: usize) {
-        assert!(total > 0);
-        assert_eq!(self.arrived, 0, "cannot resize mid-episode");
-        self.total = total;
-    }
-
     /// Current participant count.
     pub fn total(&self) -> usize {
         self.total

@@ -3,7 +3,7 @@
 //! dependency-free).
 
 use crate::finding::{Finding, Severity};
-use omp_ir::serialize::escape_json;
+use omp_ir::escape_json;
 use omp_ir::NodePath;
 use std::fmt::Write as _;
 

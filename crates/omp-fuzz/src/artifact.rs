@@ -7,8 +7,8 @@
 //! the generator seed, not the campaign state.
 
 use omp_ir::node::Program;
-use omp_ir::serialize::{escape_json, program_from_value};
-use omp_ir::{parse_json, program_to_json};
+use omp_ir::serialize::program_from_value;
+use omp_ir::{escape_json, parse_json, program_to_json};
 use slipstream::EngineMutation;
 
 use crate::diff::{run_case, DiffOptions, FailKind, Failure};

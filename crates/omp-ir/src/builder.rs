@@ -207,32 +207,6 @@ impl BlockBuilder {
         });
     }
 
-    /// Worksharing loop with every clause under caller control: schedule,
-    /// optional reduction, and `nowait` in one call. Program generators
-    /// (the fuzz grammar) sample all clause combinations through this
-    /// entry instead of dispatching over the three shorthand variants.
-    #[allow(clippy::too_many_arguments)]
-    pub fn par_for_full(
-        &mut self,
-        sched: Option<ScheduleSpec>,
-        var: VarId,
-        begin: impl Into<Expr>,
-        end: impl Into<Expr>,
-        reduction: Option<Reduction>,
-        nowait: bool,
-        f: impl FnOnce(&mut BlockBuilder),
-    ) {
-        self.nodes.push(Node::ParFor {
-            sched,
-            var,
-            begin: begin.into(),
-            end: end.into(),
-            body: Box::new(Self::block(f)),
-            reduction,
-            nowait,
-        });
-    }
-
     /// `single` construct.
     pub fn single(&mut self, f: impl FnOnce(&mut BlockBuilder)) {
         self.nodes.push(Node::Single(Box::new(Self::block(f))));

@@ -18,6 +18,7 @@
 pub mod builder;
 pub mod directive;
 pub mod expr;
+pub mod json;
 pub mod lower;
 pub mod node;
 pub mod path;
@@ -31,13 +32,14 @@ pub use directive::{
     parse_directive, parse_omp_slipstream_env, Directive, DirectiveError, EnvSlipstream,
 };
 pub use expr::{BinOp, Expr, SimpleCtx, TableId, VarId};
+pub use json::{escape_json, parse_json, JsonValue, SerializeError};
 pub use lower::{Pragma, PragmaBlock};
 pub use node::{
     ArrayDecl, ArrayId, Node, Program, Reduction, ReductionOp, ScheduleKind, ScheduleSpec,
     SlipSyncType, SlipstreamClause,
 };
 pub use path::{node_kind, NodePath, PathSeg};
-pub use serialize::{parse_json, program_from_json, program_to_json, JsonValue, SerializeError};
+pub use serialize::{program_from_json, program_to_json};
 pub use trace::{trace, OpCounts, TraceSummary};
 pub use validate::{validate, Diagnostic, ValidationError};
 pub use wsloop::Chunk;

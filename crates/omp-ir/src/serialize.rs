@@ -2,17 +2,16 @@
 //!
 //! The fuzzing harness needs to persist minimized failure repros as
 //! artifacts that replay from disk alone, so the IR gets a first-class
-//! round-trippable encoding here. The workspace is dependency-free by
-//! design, so both the emitter and the recursive-descent parser are
-//! hand-rolled; [`JsonValue`]/[`parse_json`] are public so downstream
-//! crates (the fuzz artifact format) can wrap program documents in their
-//! own envelopes without writing another parser.
+//! round-trippable encoding here, written by hand and read back through
+//! [`crate::json`]; downstream crates (the fuzz artifact format) wrap
+//! program documents in their own envelopes with the same parser.
 //!
 //! The encoding is versioned (`"v": 1`) and intentionally explicit: every
 //! node and expression is a tagged object (`{"k": "parfor", ...}`), and
 //! decode errors carry a human-readable description of what was expected.
 
 use crate::expr::{BinOp, Expr, TableId, VarId};
+use crate::json::{escape_json, parse_json, JsonValue, SerializeError};
 use crate::node::{
     ArrayDecl, ArrayId, Node, Program, Reduction, ReductionOp, ScheduleKind, ScheduleSpec,
     SlipSyncType, SlipstreamClause,
@@ -20,328 +19,6 @@ use crate::node::{
 
 /// Version tag written into every serialized program document.
 pub const FORMAT_VERSION: i64 = 1;
-
-// ---------------------------------------------------------------------------
-// Generic JSON value + parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are restricted to `i64` — the encoding
-/// never emits floats, and keeping integers exact is what round-tripping
-/// trip counts and table contents requires.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer (the encoding never uses floats).
-    Int(i64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<JsonValue>),
-    /// Object, as ordered key/value pairs.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Integer view.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer view.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Array view.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// A serialization/deserialization failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SerializeError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset in the input (parse errors only).
-    pub offset: usize,
-}
-
-impl std::fmt::Display for SerializeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "serialize error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for SerializeError {}
-
-fn err<T>(message: impl Into<String>, offset: usize) -> Result<T, SerializeError> {
-    Err(SerializeError {
-        message: message.into(),
-        offset,
-    })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), SerializeError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected '{}'", b as char), self.pos)
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, SerializeError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(c) => err(format!("unexpected character '{}'", c as char), self.pos),
-            None => err("unexpected end of input", self.pos),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, SerializeError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            err(format!("expected '{lit}'"), self.pos)
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, SerializeError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return err("floating-point numbers are not supported", self.pos);
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        match text.parse::<i64>() {
-            Ok(v) => Ok(JsonValue::Int(v)),
-            Err(_) => err(format!("invalid integer '{text}'"), start),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SerializeError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string", self.pos),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or(SerializeError {
-                        message: "unterminated escape".into(),
-                        offset: self.pos,
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return err("truncated \\u escape", self.pos);
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| SerializeError {
-                                    message: "invalid \\u escape".into(),
-                                    offset: self.pos,
-                                })?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| SerializeError {
-                                    message: "invalid \\u escape".into(),
-                                    offset: self.pos,
-                                })?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by the encoder;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        c => return err(format!("invalid escape '\\{}'", c as char), self.pos),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        SerializeError {
-                            message: "invalid UTF-8".into(),
-                            offset: self.pos,
-                        }
-                    })?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, SerializeError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return err("expected ',' or ']'", self.pos),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, SerializeError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return err("expected ',' or '}'", self.pos),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document into a [`JsonValue`]. Trailing non-whitespace is
-/// an error.
-pub fn parse_json(text: &str) -> Result<JsonValue, SerializeError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return err("trailing characters after document", p.pos);
-    }
-    Ok(v)
-}
-
-/// Escape a string for embedding in JSON output (quotes not included).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 // ---------------------------------------------------------------------------
 // Encoding

@@ -150,266 +150,3 @@ pub struct Span {
     pub start: u64,
     pub end: u64,
 }
-
-// ---------------------------------------------------------------------------
-// Snapshot codecs. Labels are stored as strings and re-interned on restore
-// (`snap::intern`), so a restored event's `&'static str` compares equal to
-// the original label even though the pointer may differ.
-
-impl TrackDomain {
-    /// Snapshot discriminant.
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.u8(match self {
-            TrackDomain::Cpu => 0,
-            TrackDomain::Cmp => 1,
-        });
-    }
-
-    /// Restore from a snapshot discriminant.
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(TrackDomain::Cpu),
-            1 => Ok(TrackDomain::Cmp),
-            _ => Err(snap::SnapError::Corrupt {
-                what: "TrackDomain",
-            }),
-        }
-    }
-}
-
-impl TraceEvent {
-    /// Serialize the event (tag byte + fields in declaration order).
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        match self {
-            TraceEvent::MemFill {
-                line,
-                read_ex,
-                remote,
-                issue,
-                complete,
-            } => {
-                w.u8(0);
-                w.u64(*line);
-                w.bool(*read_ex);
-                w.bool(*remote);
-                w.u64(*issue);
-                w.u64(*complete);
-            }
-            TraceEvent::FillClass {
-                line,
-                class,
-                complete,
-            } => {
-                w.u8(1);
-                w.u64(*line);
-                w.str(class);
-                w.u64(*complete);
-            }
-            TraceEvent::BarrierArrive {
-                addr,
-                generation,
-                arrived,
-                total,
-            } => {
-                w.u8(2);
-                w.u64(*addr);
-                w.u64(*generation);
-                w.u32(*arrived);
-                w.u32(*total);
-            }
-            TraceEvent::BarrierRelease {
-                addr,
-                generation,
-                woken,
-            } => {
-                w.u8(3);
-                w.u64(*addr);
-                w.u64(*generation);
-                w.u32(*woken);
-            }
-            TraceEvent::TokenInsert {
-                pair,
-                seq,
-                count,
-                lost,
-            } => {
-                w.u8(4);
-                w.u32(*pair);
-                w.u64(*seq);
-                w.i64(*count);
-                w.bool(*lost);
-            }
-            TraceEvent::TokenConsume { pair, count } => {
-                w.u8(5);
-                w.u32(*pair);
-                w.i64(*count);
-            }
-            TraceEvent::TokenWait { pair } => {
-                w.u8(6);
-                w.u32(*pair);
-            }
-            TraceEvent::DecisionPublish {
-                pair,
-                seq,
-                kind,
-                lost,
-            } => {
-                w.u8(7);
-                w.u32(*pair);
-                w.u64(*seq);
-                w.str(kind);
-                w.bool(*lost);
-            }
-            TraceEvent::DecisionConsume { pair, kind } => {
-                w.u8(8);
-                w.u32(*pair);
-                w.str(kind);
-            }
-            TraceEvent::Fault {
-                kind,
-                site,
-                pair,
-                seq,
-            } => {
-                w.u8(9);
-                w.str(kind);
-                w.str(site);
-                w.u32(*pair);
-                w.u64(*seq);
-            }
-            TraceEvent::Recovery {
-                pair,
-                watchdog,
-                timeout,
-            } => {
-                w.u8(10);
-                w.u32(*pair);
-                w.bool(*watchdog);
-                w.bool(*timeout);
-            }
-            TraceEvent::Demotion { pair } => {
-                w.u8(11);
-                w.u32(*pair);
-            }
-            TraceEvent::Lead { pair, lead } => {
-                w.u8(12);
-                w.u32(*pair);
-                w.i64(*lead);
-            }
-        }
-    }
-
-    /// Restore an event written by [`TraceEvent::snapshot`].
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        let label = |r: &mut snap::Reader| -> Result<&'static str, snap::SnapError> {
-            Ok(snap::intern(&r.string()?))
-        };
-        Ok(match r.u8()? {
-            0 => TraceEvent::MemFill {
-                line: r.u64()?,
-                read_ex: r.bool()?,
-                remote: r.bool()?,
-                issue: r.u64()?,
-                complete: r.u64()?,
-            },
-            1 => TraceEvent::FillClass {
-                line: r.u64()?,
-                class: label(r)?,
-                complete: r.u64()?,
-            },
-            2 => TraceEvent::BarrierArrive {
-                addr: r.u64()?,
-                generation: r.u64()?,
-                arrived: r.u32()?,
-                total: r.u32()?,
-            },
-            3 => TraceEvent::BarrierRelease {
-                addr: r.u64()?,
-                generation: r.u64()?,
-                woken: r.u32()?,
-            },
-            4 => TraceEvent::TokenInsert {
-                pair: r.u32()?,
-                seq: r.u64()?,
-                count: r.i64()?,
-                lost: r.bool()?,
-            },
-            5 => TraceEvent::TokenConsume {
-                pair: r.u32()?,
-                count: r.i64()?,
-            },
-            6 => TraceEvent::TokenWait { pair: r.u32()? },
-            7 => TraceEvent::DecisionPublish {
-                pair: r.u32()?,
-                seq: r.u64()?,
-                kind: label(r)?,
-                lost: r.bool()?,
-            },
-            8 => TraceEvent::DecisionConsume {
-                pair: r.u32()?,
-                kind: label(r)?,
-            },
-            9 => TraceEvent::Fault {
-                kind: label(r)?,
-                site: label(r)?,
-                pair: r.u32()?,
-                seq: r.u64()?,
-            },
-            10 => TraceEvent::Recovery {
-                pair: r.u32()?,
-                watchdog: r.bool()?,
-                timeout: r.bool()?,
-            },
-            11 => TraceEvent::Demotion { pair: r.u32()? },
-            12 => TraceEvent::Lead {
-                pair: r.u32()?,
-                lead: r.i64()?,
-            },
-            _ => {
-                return Err(snap::SnapError::Corrupt {
-                    what: "TraceEvent tag",
-                })
-            }
-        })
-    }
-}
-
-impl TimedEvent {
-    /// Serialize the stamped event.
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.u64(self.cycle);
-        self.domain.snapshot(w);
-        w.u32(self.track);
-        w.u64(self.seq);
-        self.ev.snapshot(w);
-    }
-
-    /// Restore a stamped event.
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        Ok(TimedEvent {
-            cycle: r.u64()?,
-            domain: TrackDomain::restore(r)?,
-            track: r.u32()?,
-            seq: r.u64()?,
-            ev: TraceEvent::restore(r)?,
-        })
-    }
-}
-
-impl Span {
-    /// Serialize the span (class label stored as a string).
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.str(self.class);
-        w.u64(self.start);
-        w.u64(self.end);
-    }
-
-    /// Restore a span, re-interning the class label.
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        Ok(Span {
-            class: snap::intern(&r.string()?),
-            start: r.u64()?,
-            end: r.u64()?,
-        })
-    }
-}

@@ -4,8 +4,9 @@
 //! where, how far the A-stream leads, whether prefetches land Timely or
 //! Late. This crate gives the reproduction a per-cycle window into that
 //! machinery: typed events recorded into fixed-capacity per-track ring
-//! buffers, merged deterministically, exported as Chrome
-//! trace-event/Perfetto JSON, and distilled into timeline analytics.
+//! buffers, merged deterministically, and distilled into timeline
+//! analytics. The Chrome trace-event/Perfetto exporter lives in
+//! `slipstream::perfetto`, next to the workspace's one JSON parser.
 //!
 //! Design constraints, in order:
 //!
@@ -18,8 +19,9 @@
 //! 3. **Bounded memory.** Per-track rings drop-oldest on overflow and
 //!    count what they dropped; nothing grows with run length except up to
 //!    the configured capacity.
-//! 4. **No dependencies.** JSON emit and parse are hand-rolled (the
-//!    workspace is offline by construction).
+//! 4. **Not simulation state.** Nothing here is serialized: engine
+//!    checkpoints are untraced (a traced checkpoint, resume or restore is
+//!    an error), so the crate has no codec and no code dependency.
 //!
 //! Layering: this crate sits *below* `dsm-sim` and `slipstream`. Events
 //! carry `&'static str` labels instead of simulator enums so the
@@ -27,8 +29,6 @@
 
 pub mod analytics;
 pub mod event;
-pub mod json;
-pub mod perfetto;
 pub mod ring;
 pub mod tracer;
 
@@ -36,6 +36,5 @@ pub use analytics::{
     analyze, PairLead, RecoveryEpisode, SlackHistogram, TimelinessStreak, TraceAnalytics,
 };
 pub use event::{Span, TimedEvent, TraceEvent, TrackDomain};
-pub use perfetto::{chrome_trace_json, validate_chrome_trace, ValidationReport};
 pub use ring::EventRing;
 pub use tracer::{SpanLog, TraceConfig, TraceData, Tracer, DEFAULT_CAPACITY};

@@ -80,37 +80,6 @@ impl EventRing {
         self.buf.rotate_left(self.head);
         (self.buf, self.dropped)
     }
-
-    /// Serialize the ring. Events are written oldest-first so the encoding
-    /// is independent of where `head` happens to sit.
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.usize(self.capacity);
-        w.u64(self.dropped);
-        w.usize(self.buf.len());
-        for i in 0..self.buf.len() {
-            self.buf[(self.head + i) % self.buf.len()].snapshot(w);
-        }
-    }
-
-    /// Restore a ring written by [`EventRing::snapshot`]. The restored
-    /// ring holds the same events oldest-first with `head = 0`, which is
-    /// behaviorally identical under both `push` and `drain`.
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        let capacity = r.usize()?;
-        let dropped = r.u64()?;
-        let buf = r.seq(TimedEvent::restore)?;
-        if buf.len() > capacity {
-            return Err(snap::SnapError::Corrupt {
-                what: "EventRing length",
-            });
-        }
-        Ok(EventRing {
-            buf,
-            head: 0,
-            dropped,
-            capacity,
-        })
-    }
 }
 
 #[cfg(test)]

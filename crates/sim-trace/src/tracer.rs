@@ -117,27 +117,6 @@ impl Tracer {
         });
     }
 
-    /// Serialize the full recording state (switch, capacity, domain,
-    /// sequence counter, and every track ring).
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.bool(self.enabled);
-        w.usize(self.capacity);
-        self.domain.snapshot(w);
-        w.u64(self.seq);
-        w.seq(&self.tracks, |w, t| t.snapshot(w));
-    }
-
-    /// Restore a tracer written by [`Tracer::snapshot`].
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        Ok(Tracer {
-            enabled: r.bool()?,
-            capacity: r.usize()?,
-            domain: TrackDomain::restore(r)?,
-            seq: r.u64()?,
-            tracks: r.seq(EventRing::restore)?,
-        })
-    }
-
     /// Consume the tracer: all surviving events (unsorted across tracks,
     /// in-order within each) plus the total overwritten-event count.
     pub fn drain(self) -> (Vec<TimedEvent>, u64) {
@@ -202,24 +181,6 @@ impl SpanLog {
         } else {
             self.dropped += 1;
         }
-    }
-
-    /// Serialize the span log, including the still-open span.
-    pub fn snapshot(&self, w: &mut snap::Writer) {
-        w.usize(self.capacity);
-        w.seq(&self.spans, |w, s| s.snapshot(w));
-        w.opt(&self.cur, |w, s| s.snapshot(w));
-        w.u64(self.dropped);
-    }
-
-    /// Restore a span log written by [`SpanLog::snapshot`].
-    pub fn restore(r: &mut snap::Reader) -> Result<Self, snap::SnapError> {
-        Ok(SpanLog {
-            capacity: r.usize()?,
-            spans: r.seq(Span::restore)?,
-            cur: r.opt(Span::restore)?,
-            dropped: r.u64()?,
-        })
     }
 
     /// Close the open span and return all slices plus the dropped count.

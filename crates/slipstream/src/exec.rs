@@ -28,10 +28,10 @@ use crate::pairing::{Decision, PairState};
 use crate::policy::{AAction, AStreamPolicy, RecoveryPolicy};
 use dsm_sim::{
     AccessKind, Addr, AddressMap, Barrier, CmpId, CpuId, CpuTimeline, Cycle, EventQueue, Lock,
-    MachineConfig, MemSystem, StreamRole, TimeClass,
+    MachineConfig, MemSystem, SplitMix64, StreamRole, TimeClass,
 };
-use omp_ir::expr::{BinOp, EvalCtx, Expr, TableId, VarId};
-use omp_ir::node::{ArrayId, Reduction, ReductionOp, SlipSyncType, SlipstreamClause};
+use omp_ir::expr::{EvalCtx, Expr, TableId, VarId};
+use omp_ir::node::{ArrayId, SlipSyncType, SlipstreamClause};
 use omp_ir::trace::OpCounts;
 use omp_ir::wsloop::Chunk;
 use omp_rt::constructs::ConstructArena;
@@ -55,14 +55,6 @@ pub struct OsNoise {
     pub slice_cycles: Cycle,
     /// Stagger seed (runs are deterministic for a fixed seed).
     pub seed: u64,
-}
-
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Deliberately-broken engine variants, each a realistic bug class in the
@@ -121,6 +113,18 @@ impl EngineMutation {
     ];
 }
 
+/// Busy cycles to compute a static chunk assignment.
+const STATIC_SCHED_CYCLES: u64 = 15;
+/// Busy cycles of scheduler arithmetic per dynamic grab (on top of the
+/// lock and counter traffic).
+const DYNAMIC_SCHED_CYCLES: u64 = 6;
+/// Fixed busy cycles per I/O operation.
+const IO_FIXED_CYCLES: u64 = 2000;
+/// Additional busy cycles per 8 bytes of I/O.
+const IO_CYCLES_PER_8_BYTES: u64 = 1;
+/// Hard cap on scheduler events processed (runaway-simulation guard).
+const MAX_EVENTS: u64 = 2_000_000_000;
+
 /// Tunable engine parameters beyond the machine model.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -132,17 +136,8 @@ pub struct EngineConfig {
     pub env: RuntimeEnv,
     /// A-stream construct policy.
     pub policy: AStreamPolicy,
-    /// Busy cycles to compute a static chunk assignment.
-    pub static_sched_cycles: u64,
-    /// Busy cycles of scheduler arithmetic per dynamic grab (on top of the
-    /// lock and counter traffic).
-    pub dynamic_sched_cycles: u64,
-    /// Fixed busy cycles per I/O operation.
-    pub io_fixed_cycles: u64,
-    /// Additional busy cycles per 8 bytes of I/O.
-    pub io_cycles_per_8_bytes: u64,
     /// Divergence detection and recovery knobs (watchdog, retry budget,
-    /// restart cost, token slack).
+    /// token-wait timeout).
     pub recovery: RecoveryPolicy,
     /// Fault-injection plan fired at the engine's hook points.
     pub faults: FaultPlan,
@@ -154,8 +149,6 @@ pub struct EngineConfig {
     pub trace: TraceConfig,
     /// Hard cap on simulated cycles (deadlock/livelock watchdog).
     pub max_cycles: Cycle,
-    /// Hard cap on scheduler events processed.
-    pub max_events: u64,
     /// Seeded engine-mutation class (fuzzer self-check only);
     /// [`EngineMutation::None`] keeps the engine bit-identical.
     pub mutation: EngineMutation,
@@ -172,16 +165,11 @@ impl EngineConfig {
             mode,
             env: RuntimeEnv::default(),
             policy: AStreamPolicy::paper(),
-            static_sched_cycles: 15,
-            dynamic_sched_cycles: 6,
-            io_fixed_cycles: 2000,
-            io_cycles_per_8_bytes: 1,
             recovery: RecoveryPolicy::paper(),
             faults: FaultPlan::none(),
             os_noise: None,
             trace: TraceConfig::OFF,
             max_cycles: 50_000_000_000,
-            max_events: 2_000_000_000,
             mutation: EngineMutation::None,
             memo: MemoPlan,
         }
@@ -316,9 +304,10 @@ enum Frame {
         body: NodeId,
         stage: u8,
     },
-    /// Reduction combine: lock, load, op, store, unlock.
+    /// Reduction combine of the `ParFor` at `node`: lock, load, op,
+    /// store, unlock.
     RedP {
-        red: Reduction,
+        node: NodeId,
         stage: u8,
     },
     /// Master's path through a `Parallel` node.
@@ -456,7 +445,6 @@ impl<'p> Engine<'p> {
         let fault_fired = vec![false; cfg.faults.events.len()];
         let layout = TeamLayout::new(&cfg.machine, cfg.mode).with_max_threads(cfg.env.num_threads);
         let mut ms = MemSystem::new(&cfg.machine);
-        ms.set_self_invalidation(cfg.mode == ExecMode::Slipstream && cfg.policy.self_invalidation);
         ms.set_trace(&cfg.trace);
         let map = AddressMap::new(&cfg.machine);
         let base_line = cp.runtime_base / map.line_bytes();
@@ -603,7 +591,8 @@ impl<'p> Engine<'p> {
         // Stagger the first OS interruption per processor.
         if let Some(noise) = self.cfg.os_noise {
             for (i, c) in self.cpus.iter_mut().enumerate() {
-                c.next_interrupt = mix64(noise.seed ^ (i as u64).wrapping_mul(0x9E37))
+                c.next_interrupt = SplitMix64::new(noise.seed ^ (i as u64).wrapping_mul(0x9E37))
+                    .next_u64()
                     % noise.quantum_cycles.max(1);
             }
         }
@@ -1010,7 +999,7 @@ impl<'p> Engine<'p> {
                 match resolved {
                     ResolvedSchedule::StaticBlock | ResolvedSchedule::StaticChunked(_) => {
                         // Each thread computes its chunks independently.
-                        self.busy(ci, self.cfg.static_sched_cycles, TimeClass::Scheduling);
+                        self.busy(ci, STATIC_SCHED_CYCLES, TimeClass::Scheduling);
                         let tid = self.cpus[ci].tid;
                         let mut chunks =
                             static_chunks(resolved, lo, hi, 1, self.layout.team_size(), tid);
@@ -1237,7 +1226,7 @@ impl<'p> Engine<'p> {
                         .timeline
                         .busy(noise.slice_cycles, TimeClass::Os);
                     self.cpus[ci].interrupts += 1;
-                    let jitter = mix64(noise.seed ^ now ^ ((ci as u64) << 32))
+                    let jitter = SplitMix64::new(noise.seed ^ now ^ ((ci as u64) << 32)).next_u64()
                         % (noise.quantum_cycles / 4).max(1);
                     self.cpus[ci].next_interrupt =
                         now + noise.slice_cycles + noise.quantum_cycles + jitter
@@ -1459,7 +1448,7 @@ impl<'p> Engine<'p> {
                 chunk,
             } => self.dyn_step(ci, node, enc, sched, lo, hi, stage, chunk),
             Frame::CritP { lock, body, stage } => self.critical_step(ci, lock, body, stage),
-            Frame::RedP { red, stage } => self.reduction_step(ci, red, stage),
+            Frame::RedP { node, stage } => self.reduction_step(ci, node, stage),
             Frame::RegionP { node, stage } => self.region_step(ci, node, stage),
             Frame::RegionEndP { stage } => self.region_end_step(ci, stage),
             Frame::PoolWait => self.pool_step(ci),
@@ -1549,7 +1538,7 @@ impl<'p> Engine<'p> {
         }
         self.busy(ci, 2, TimeClass::Busy); // compare token count
         let suspected = self.pairs[p].diverged
-            || self.pairs[p].divergence_suspected(self.cfg.recovery.divergence_slack);
+            || self.pairs[p].divergence_suspected(RecoveryPolicy::DIVERGENCE_SLACK);
         if suspected {
             self.recover_astream(ci, p);
         }
@@ -1650,7 +1639,7 @@ impl<'p> Engine<'p> {
         self.cpus[ai].sections_seen = self.cpus[ci].sections_seen;
         self.cpus[ai].dynloops_seen = self.cpus[ci].dynloops_seen;
         self.cpus[ai].jobs_taken = self.cpus[ci].jobs_taken;
-        let t = now + self.cfg.recovery.recovery_cycles;
+        let t = now + RecoveryPolicy::RECOVERY_CYCLES;
         match self.cpus[ai].status {
             Status::Parked => {
                 self.cpus[ai].park_class = TimeClass::Recovery;
@@ -1662,7 +1651,7 @@ impl<'p> Engine<'p> {
                 // re-seed cost.
                 self.cpus[ai]
                     .timeline
-                    .busy(self.cfg.recovery.recovery_cycles, TimeClass::Recovery);
+                    .busy(RecoveryPolicy::RECOVERY_CYCLES, TimeClass::Recovery);
             }
         }
     }
@@ -1699,7 +1688,7 @@ impl<'p> Engine<'p> {
         };
         self.cpus[ai].vars = self.cpus[ci].vars.clone();
         self.cpus[ai].frames = frames;
-        let t = now + self.cfg.recovery.recovery_cycles;
+        let t = now + RecoveryPolicy::RECOVERY_CYCLES;
         match self.cpus[ai].status {
             Status::Parked => {
                 self.cpus[ai].park_class = TimeClass::Recovery;
@@ -1708,7 +1697,7 @@ impl<'p> Engine<'p> {
             _ => {
                 self.cpus[ai]
                     .timeline
-                    .busy(self.cfg.recovery.recovery_cycles, TimeClass::Recovery);
+                    .busy(RecoveryPolicy::RECOVERY_CYCLES, TimeClass::Recovery);
             }
         }
     }
@@ -2032,25 +2021,21 @@ impl<'p> Engine<'p> {
     /// Worksharing loop end: reduction combine, then the implicit barrier
     /// unless `nowait`.
     fn loop_end(&mut self, ci: usize, node: NodeId, stage: u8) {
-        let (reduction, nowait) = match self.cp.node(node) {
+        let (has_reduction, nowait) = match self.cp.node(node) {
             FNode::ParFor {
                 reduction, nowait, ..
-            } => (reduction.clone(), *nowait),
+            } => (reduction.is_some(), *nowait),
             _ => unreachable!("LoopEnd on non-ParFor"),
         };
         match stage {
             0 => {
                 self.cpus[ci].frames.push(Frame::LoopEnd { node, stage: 1 });
-                if let Some(red) = reduction {
-                    if self.is_a(ci) {
-                        // Policy: the A-stream runs reduction bodies as
-                        // user code but skips the shared combine.
-                        if self.cfg.policy.reduction_combine == AAction::Execute {
-                            self.cpus[ci].frames.push(Frame::RedP { red, stage: 0 });
-                        }
-                    } else {
-                        self.cpus[ci].frames.push(Frame::RedP { red, stage: 0 });
-                    }
+                // Policy: the A-stream runs reduction bodies as user code
+                // but skips the shared combine.
+                if has_reduction
+                    && (!self.is_a(ci) || self.cfg.policy.reduction_combine == AAction::Execute)
+                {
+                    self.cpus[ci].frames.push(Frame::RedP { node, stage: 0 });
                 }
             }
             1 => {
@@ -2065,9 +2050,9 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Reduction combine: serialize through the reduction lock and update
-    /// the shared target cell.
-    fn reduction_step(&mut self, ci: usize, red: Reduction, stage: u8) {
+    /// Reduction combine of the `ParFor` at `node`: serialize through the
+    /// reduction lock and update the shared target cell.
+    fn reduction_step(&mut self, ci: usize, node: NodeId, stage: u8) {
         match stage {
             0 => {
                 // Acquire the reduction lock.
@@ -2077,15 +2062,22 @@ impl<'p> Engine<'p> {
                     AccessKind::Store,
                     TimeClass::Lock,
                 );
-                if self.reduction_lock.acquire(CpuId(ci)) {
-                    self.cpus[ci].frames.push(Frame::RedP { red, stage: 1 });
-                } else {
-                    self.cpus[ci].frames.push(Frame::RedP { red, stage: 1 });
+                let granted = self.reduction_lock.acquire(CpuId(ci));
+                self.cpus[ci].frames.push(Frame::RedP { node, stage: 1 });
+                if !granted {
                     self.park(ci, TimeClass::Lock);
                 }
             }
             1 => {
                 // Combine: load target, apply op, store target, release.
+                let cp = self.cp;
+                let FNode::ParFor {
+                    reduction: Some(red),
+                    ..
+                } = cp.node(node)
+                else {
+                    unreachable!("RedP on a ParFor without a reduction")
+                };
                 let idx = self.eval(ci, &red.index);
                 let addr = self.element_addr(ci, red.target, idx);
                 self.mem(ci, addr, AccessKind::Load, TimeClass::MemStall);
@@ -2520,7 +2512,7 @@ impl<'p> Engine<'p> {
                     self.sched_locks[lock_id].addr
                 };
                 self.mem(ci, caddr, AccessKind::Load, TimeClass::Scheduling);
-                self.busy(ci, self.cfg.dynamic_sched_cycles, TimeClass::Scheduling);
+                self.busy(ci, DYNAMIC_SCHED_CYCLES, TimeClass::Scheduling);
                 let next = if let ResolvedSchedule::Affinity(chunk) = sched {
                     // Lazy init of the per-thread queues.
                     let team = self.layout.team_size();
@@ -2807,7 +2799,7 @@ impl<'p> Engine<'p> {
         } else {
             self.cpus[ci].user.io_out += 1;
         }
-        let cost = self.cfg.io_fixed_cycles + (bytes / 8) * self.cfg.io_cycles_per_8_bytes;
+        let cost = IO_FIXED_CYCLES + (bytes / 8) * IO_CYCLES_PER_8_BYTES;
         self.busy(ci, cost, TimeClass::Busy);
         if input && self.cfg.mode == ExecMode::Slipstream {
             if let Some(p) = self.pair_of(ci) {
@@ -2858,7 +2850,7 @@ impl<'p> Engine<'p> {
                 break;
             }
             self.events += 1;
-            if self.events > self.cfg.max_events {
+            if self.events > MAX_EVENTS {
                 return Err("event budget exhausted (runaway simulation)".into());
             }
             let c = &self.cpus[cpu.0];
@@ -3045,104 +3037,16 @@ impl<'p> Engine<'p> {
 // sweep sharing a warmup prefix can fork from it instead of re-simulating.
 // Everything config-derived (compiled program, machine layout, address
 // map, latencies) is rebuilt by `Engine::new` on restore and validated
-// against an identity hash stored in the snapshot; the cycle/event
-// budgets are deliberately excluded from that hash because they only
-// bound a run, never shape it.
+// against an identity hash stored in the snapshot; the cycle budget is
+// deliberately excluded from that hash because it only bounds a run,
+// never shapes it. Checkpoints are untraced: no tracer state is written.
 
 /// Version of the engine snapshot payload format. Bumped on any change
 /// to the serialized layout; [`Engine::restore`] rejects other versions.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
-fn snap_expr(w: &mut snap::Writer, e: &Expr) {
-    match e {
-        Expr::Const(v) => {
-            w.u8(0);
-            w.i64(*v);
-        }
-        Expr::Var(v) => {
-            w.u8(1);
-            w.u32(v.0);
-        }
-        Expr::ThreadId => w.u8(2),
-        Expr::NumThreads => w.u8(3),
-        Expr::Bin(op, a, b) => {
-            w.u8(4);
-            w.u8(match op {
-                BinOp::Add => 0,
-                BinOp::Sub => 1,
-                BinOp::Mul => 2,
-                BinOp::Div => 3,
-                BinOp::Mod => 4,
-                BinOp::Min => 5,
-                BinOp::Max => 6,
-            });
-            snap_expr(w, a);
-            snap_expr(w, b);
-        }
-        Expr::Table(t, idx) => {
-            w.u8(5);
-            w.u32(t.0);
-            snap_expr(w, idx);
-        }
-    }
-}
-
-fn restore_expr(r: &mut snap::Reader) -> Result<Expr, snap::SnapError> {
-    Ok(match r.u8()? {
-        0 => Expr::Const(r.i64()?),
-        1 => Expr::Var(VarId(r.u32()?)),
-        2 => Expr::ThreadId,
-        3 => Expr::NumThreads,
-        4 => {
-            let op = match r.u8()? {
-                0 => BinOp::Add,
-                1 => BinOp::Sub,
-                2 => BinOp::Mul,
-                3 => BinOp::Div,
-                4 => BinOp::Mod,
-                5 => BinOp::Min,
-                6 => BinOp::Max,
-                _ => return Err(snap::SnapError::Corrupt { what: "BinOp" }),
-            };
-            let a = restore_expr(r)?;
-            let b = restore_expr(r)?;
-            Expr::Bin(op, Box::new(a), Box::new(b))
-        }
-        5 => {
-            let t = TableId(r.u32()?);
-            Expr::Table(t, Box::new(restore_expr(r)?))
-        }
-        _ => return Err(snap::SnapError::Corrupt { what: "Expr" }),
-    })
-}
-
-fn snap_reduction(w: &mut snap::Writer, red: &Reduction) {
-    w.u8(match red.op {
-        ReductionOp::Sum => 0,
-        ReductionOp::Max => 1,
-        ReductionOp::Min => 2,
-    });
-    w.u32(red.target.0);
-    snap_expr(w, &red.index);
-}
-
-fn restore_reduction(r: &mut snap::Reader) -> Result<Reduction, snap::SnapError> {
-    let op = match r.u8()? {
-        0 => ReductionOp::Sum,
-        1 => ReductionOp::Max,
-        2 => ReductionOp::Min,
-        _ => {
-            return Err(snap::SnapError::Corrupt {
-                what: "ReductionOp",
-            })
-        }
-    };
-    Ok(Reduction {
-        op,
-        target: ArrayId(r.u32()?),
-        index: restore_expr(r)?,
-    })
-}
+/// Why a traced checkpoint, resume or restore is refused.
+pub(crate) const UNTRACED: &str = "checkpoints are untraced (tracing must be off)";
 
 fn snap_sched(w: &mut snap::Writer, s: ResolvedSchedule) {
     match s {
@@ -3292,9 +3196,9 @@ impl Frame {
                 w.u32(body.0);
                 w.u8(*stage);
             }
-            Frame::RedP { red, stage } => {
+            Frame::RedP { node, stage } => {
                 w.u8(9);
-                snap_reduction(w, red);
+                w.u32(node.0);
                 w.u8(*stage);
             }
             Frame::RegionP { node, stage } => {
@@ -3374,7 +3278,7 @@ impl Frame {
                 stage: r.u8()?,
             },
             9 => Frame::RedP {
-                red: restore_reduction(r)?,
+                node: NodeId(r.u32()?),
                 stage: r.u8()?,
             },
             10 => Frame::RegionP {
@@ -3501,29 +3405,18 @@ fn restore_slip_clause(r: &mut snap::Reader) -> Result<SlipstreamClause, snap::S
 impl<'p> Engine<'p> {
     /// Hash of everything that must match between the snapshotting engine
     /// and a restoring one: the compiled program and every configuration
-    /// field that shapes simulation state. The cycle/event budgets are
-    /// excluded — they only bound a run. The fault plan is excluded too
-    /// (it has its own swap rule; see [`Engine::restore`]).
+    /// field that shapes simulation state. The cycle budget is excluded —
+    /// it only bounds a run — and so is the trace config, which never
+    /// shapes it. The fault plan is excluded too (it has its own swap
+    /// rule; see [`Engine::restore`]).
     fn identity_hash(&self) -> u64 {
         use std::fmt::Write as _;
         let c = &self.cfg;
         let mut s = String::new();
         let _ = write!(
             s,
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
-            self.cp,
-            c.machine,
-            c.mode,
-            c.env,
-            c.policy,
-            c.static_sched_cycles,
-            c.dynamic_sched_cycles,
-            c.io_fixed_cycles,
-            c.io_cycles_per_8_bytes,
-            c.recovery,
-            c.os_noise,
-            c.trace,
-            c.mutation,
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            self.cp, c.machine, c.mode, c.env, c.policy, c.recovery, c.os_noise, c.mutation,
         );
         snap::fnv1a(s.as_bytes())
     }
@@ -3536,7 +3429,9 @@ impl<'p> Engine<'p> {
     /// Serialize the complete mutable engine state into a versioned,
     /// checksummed snapshot. Call at a [`Engine::run_until`] boundary;
     /// a restored engine continued to completion produces results
-    /// bit-identical to the uninterrupted run.
+    /// bit-identical to the uninterrupted run. Checkpoints are untraced:
+    /// tracer state is not written, and [`Engine::restore`] refuses a
+    /// traced configuration.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = snap::Writer::new();
         w.u64(self.identity_hash());
@@ -3582,7 +3477,6 @@ impl<'p> Engine<'p> {
         w.u64(self.events);
         w.u64(self.sched_grabs_total);
         w.u64(self.sched_steals_total);
-        self.tracer.snapshot(&mut w);
         snap::seal(SNAPSHOT_VERSION, &w.into_bytes())
     }
 
@@ -3590,15 +3484,19 @@ impl<'p> Engine<'p> {
     ///
     /// `cp` and `cfg` must describe the same simulation the snapshot was
     /// taken from (validated by the stored identity hash), with two
-    /// allowed differences: the cycle/event budgets, and the fault plan —
+    /// allowed differences: the cycle budget, and the fault plan —
     /// which may be *swapped* for a different one only while no fault of
     /// the stored plan has fired yet (so a fault-free warmup can fork
-    /// into many differently-faulted continuations).
+    /// into many differently-faulted continuations). `cfg` must have
+    /// tracing off.
     pub fn restore(
         cp: &'p CompiledProgram,
         cfg: EngineConfig,
         bytes: &[u8],
     ) -> Result<Self, String> {
+        if cfg.trace.is_on() {
+            return Err(format!("snapshot: {UNTRACED}"));
+        }
         let payload = snap::open(bytes, SNAPSHOT_VERSION).map_err(|e| format!("snapshot: {e}"))?;
         let mut eng = Engine::new(cp, cfg);
         let mut r = snap::Reader::new(payload);
@@ -3677,7 +3575,6 @@ impl<'p> Engine<'p> {
         self.events = r.u64()?;
         self.sched_grabs_total = r.u64()?;
         self.sched_steals_total = r.u64()?;
-        self.tracer = Tracer::restore(r)?;
         Ok(())
     }
 }

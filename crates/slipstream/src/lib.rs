@@ -28,6 +28,7 @@ pub mod exec;
 pub mod faults;
 pub mod gate;
 pub mod pairing;
+pub mod perfetto;
 pub mod policy;
 pub mod report;
 pub mod runner;
@@ -55,7 +56,5 @@ pub use omp_analyze::{AnalysisReport, Finding, GateMode, Hazard, Severity};
 pub use dsm_sim::{FillClass, FillCounts, MachineConfig, ReqKind, StreamRole, TimeClass};
 pub use omp_ir::{Program, ProgramBuilder};
 pub use omp_rt::{ExecMode, PairMode, RuntimeEnv, SlipSync};
-pub use sim_trace::{
-    analyze, chrome_trace_json, validate_chrome_trace, TraceAnalytics, TraceConfig, TraceData,
-    TraceEvent,
-};
+pub use perfetto::{chrome_trace_json, validate_chrome_trace, ValidationReport};
+pub use sim_trace::{analyze, TraceAnalytics, TraceConfig, TraceData, TraceEvent};

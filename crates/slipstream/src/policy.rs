@@ -44,11 +44,6 @@ pub struct AStreamPolicy {
     pub convert_shared_stores: bool,
     /// `sections` under dynamic assignment synchronize with the R-stream.
     pub sections: AAction,
-    /// Slipstream self-invalidation (paper Section 2): A-stream reads of
-    /// dirty remote lines hint the producer to write back and drop its
-    /// copy. The paper ties this optimization to one-token-global
-    /// synchronization; it defaults off (the evaluated configuration).
-    pub self_invalidation: bool,
 }
 
 impl AStreamPolicy {
@@ -62,14 +57,7 @@ impl AStreamPolicy {
             reduction_combine: AAction::Skip,
             convert_shared_stores: true,
             sections: AAction::SyncWithR,
-            self_invalidation: false,
         }
-    }
-
-    /// Extension: enable self-invalidation hints.
-    pub fn with_self_invalidation(mut self) -> Self {
-        self.self_invalidation = true;
-        self
     }
 
     /// Ablation: no store conversion (A-stream skips shared stores
@@ -95,13 +83,13 @@ impl Default for AStreamPolicy {
 /// Divergence detection and recovery knobs (paper Section 4.4, hardened).
 ///
 /// Detection has three tiers. The cheap tier is the paper's token-slack
-/// heuristic: tokens accumulating beyond `sync.tokens + divergence_slack`
+/// heuristic: tokens accumulating beyond `sync.tokens + DIVERGENCE_SLACK`
 /// at an R-stream barrier suggest the A-stream has stopped consuming.
 /// The middle tier is the **token-wait timeout**: an A-stream parked on a
 /// token or scheduling-decision semaphore for more than
 /// `token_wait_cycles` is declared diverged and recovered, with the
 /// deadline backing off exponentially (each consecutive timeout within a
-/// region doubles the next wait, up to `token_wait_shift_cap` doublings)
+/// region doubles the next wait, up to `TOKEN_WAIT_SHIFT_CAP` doublings)
 /// so a genuinely slow R-stream is not thrashed by repeated recoveries.
 /// The backstop tier is the barrier **watchdog**: an R-stream parked at
 /// the region-end barrier for more than `watchdog_cycles` forces recovery
@@ -111,14 +99,9 @@ impl Default for AStreamPolicy {
 /// than `max_recoveries_per_pair` times, retrying is judged futile and the
 /// pair is demoted to single-stream mode
 /// ([`omp_rt::mode::PairMode::DegradedSingle`]) for the rest of the run.
+/// Each recovery costs [`RecoveryPolicy::RECOVERY_CYCLES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Cycles charged to re-seed an A-stream from its R-stream
-    /// (architectural-state copy + pipeline refill).
-    pub recovery_cycles: u64,
-    /// Extra tokens beyond the sync policy's count tolerated before an
-    /// R-stream barrier check suspects divergence.
-    pub divergence_slack: u64,
     /// Cycles an R-stream may wait at the region-end barrier before the
     /// watchdog forces recovery of stuck A-streams. 0 disables the
     /// watchdog.
@@ -129,26 +112,29 @@ pub struct RecoveryPolicy {
     /// path before the timeout declares it diverged. 0 disables the
     /// timeout (the paper's configuration).
     pub token_wait_cycles: u64,
-    /// Cap on the exponential backoff of the token-wait deadline: the
-    /// n-th consecutive timeout in a region waits
-    /// `token_wait_cycles << min(n, cap)`.
-    pub token_wait_shift_cap: u32,
 }
 
 impl RecoveryPolicy {
-    /// The default configuration used by the evaluation: recovery cost
-    /// and slack from the paper's runtime, a watchdog comfortably above
-    /// any legitimate barrier wait on the simulated machine, a small
-    /// retry budget, and no token-wait timeout (the watchdog alone is the
-    /// paper's anti-wedge backstop).
+    /// Cycles charged to re-seed an A-stream from its R-stream
+    /// (architectural-state copy + pipeline refill).
+    pub const RECOVERY_CYCLES: u64 = 400;
+    /// Extra tokens beyond the sync policy's count tolerated before an
+    /// R-stream barrier check suspects divergence.
+    pub const DIVERGENCE_SLACK: u64 = 1;
+    /// Cap on the exponential backoff of the token-wait deadline: the
+    /// n-th consecutive timeout in a region waits
+    /// `token_wait_cycles << min(n, TOKEN_WAIT_SHIFT_CAP)`.
+    pub const TOKEN_WAIT_SHIFT_CAP: u32 = 3;
+
+    /// The default configuration used by the evaluation: a watchdog
+    /// comfortably above any legitimate barrier wait on the simulated
+    /// machine, a small retry budget, and no token-wait timeout (the
+    /// watchdog alone is the paper's anti-wedge backstop).
     pub fn paper() -> Self {
         RecoveryPolicy {
-            recovery_cycles: 400,
-            divergence_slack: 1,
             watchdog_cycles: 2_000_000,
             max_recoveries_per_pair: 8,
             token_wait_cycles: 0,
-            token_wait_shift_cap: 3,
         }
     }
 
@@ -187,12 +173,6 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Builder: override the token-wait backoff cap.
-    pub fn with_token_wait_shift_cap(mut self, cap: u32) -> Self {
-        self.token_wait_shift_cap = cap;
-        self
-    }
-
     /// Effective token-wait deadline length after `timeouts` consecutive
     /// timeouts in the current region (exponential backoff, capped).
     /// Returns `None` when the timeout tier is disabled.
@@ -200,7 +180,7 @@ impl RecoveryPolicy {
         if self.token_wait_cycles == 0 {
             return None;
         }
-        let shift = timeouts.min(self.token_wait_shift_cap);
+        let shift = timeouts.min(Self::TOKEN_WAIT_SHIFT_CAP);
         Some(self.token_wait_cycles.saturating_shl(shift))
     }
 }
@@ -247,9 +227,6 @@ mod tests {
         assert!(!p.convert_shared_stores);
         let p = AStreamPolicy::paper().with_critical_execution();
         assert_eq!(p.critical, AAction::Execute);
-        let p = AStreamPolicy::paper().with_self_invalidation();
-        assert!(p.self_invalidation);
-        assert!(!AStreamPolicy::paper().self_invalidation, "off by default");
     }
 
     #[test]
@@ -259,7 +236,10 @@ mod tests {
             .with_max_recoveries(2);
         assert_eq!(r.watchdog_cycles, 12_345);
         assert_eq!(r.max_recoveries_per_pair, 2);
-        assert_eq!(r.recovery_cycles, RecoveryPolicy::paper().recovery_cycles);
+        assert_eq!(
+            r.token_wait_cycles,
+            RecoveryPolicy::paper().token_wait_cycles
+        );
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::paper());
     }
 
@@ -273,14 +253,14 @@ mod tests {
 
     #[test]
     fn token_wait_backoff_doubles_up_to_the_cap() {
-        let r = RecoveryPolicy::paper()
-            .with_token_wait(1_000)
-            .with_token_wait_shift_cap(2);
+        let r = RecoveryPolicy::paper().with_token_wait(1_000);
+        assert_eq!(RecoveryPolicy::TOKEN_WAIT_SHIFT_CAP, 3);
         assert_eq!(r.token_wait_deadline(0), Some(1_000));
         assert_eq!(r.token_wait_deadline(1), Some(2_000));
         assert_eq!(r.token_wait_deadline(2), Some(4_000));
-        assert_eq!(r.token_wait_deadline(3), Some(4_000), "capped");
-        assert_eq!(r.token_wait_deadline(100), Some(4_000));
+        assert_eq!(r.token_wait_deadline(3), Some(8_000));
+        assert_eq!(r.token_wait_deadline(4), Some(8_000), "capped");
+        assert_eq!(r.token_wait_deadline(100), Some(8_000));
     }
 
     #[test]
@@ -296,9 +276,9 @@ mod tests {
 
     #[test]
     fn token_wait_backoff_saturates_instead_of_overflowing() {
-        let r = RecoveryPolicy::paper()
-            .with_token_wait(u64::MAX / 2)
-            .with_token_wait_shift_cap(8);
-        assert_eq!(r.token_wait_deadline(8), Some(u64::MAX));
+        let r = RecoveryPolicy::paper().with_token_wait(u64::MAX / 2);
+        assert_eq!(r.token_wait_deadline(0), Some(u64::MAX / 2));
+        assert_eq!(r.token_wait_deadline(1), Some(u64::MAX));
+        assert_eq!(r.token_wait_deadline(3), Some(u64::MAX));
     }
 }

@@ -113,13 +113,6 @@ pub fn resilience_table(r: &RunResult) -> String {
     s
 }
 
-/// Render the slipstream analytics of a traced run (A-stream lead,
-/// token-slack histograms, prefetch-timeliness streaks, recovery
-/// latencies). Returns `None` when the run was not traced.
-pub fn trace_report(r: &RunResult) -> Option<String> {
-    r.trace.as_ref().map(|t| sim_trace::analyze(t).render())
-}
-
 /// Canonical fingerprint of everything a run reports, used by the
 /// golden-determinism regression tests, the snapshot parity tests, and
 /// the throughput harness. Two runs are

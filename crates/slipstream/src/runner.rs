@@ -5,7 +5,7 @@
 //! the shared-request classification (Figures 3 and 5).
 
 use crate::compile::{compile, CompiledProgram};
-use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult};
+use crate::exec::{Engine, EngineConfig, EngineMutation, RunResult, UNTRACED};
 use crate::faults::FaultPlan;
 use crate::gate::{analyze_config, gate_program};
 use crate::policy::{AStreamPolicy, RecoveryPolicy};
@@ -256,6 +256,16 @@ fn check_options(opts: &RunOptions) -> Result<(), String> {
         .map_err(|e| format!("invalid machine: {e}"))
 }
 
+/// [`check_options`] for the checkpoint and resume entry points, which
+/// also refuse tracing: snapshots carry no tracer state.
+fn check_untraced(opts: &RunOptions) -> Result<(), String> {
+    check_options(opts)?;
+    if opts.trace.is_on() {
+        return Err(format!("invalid trace: {UNTRACED}"));
+    }
+    Ok(())
+}
+
 /// Build the engine configuration `run_compiled` and the checkpoint
 /// entry points share for a set of run options.
 fn engine_config(opts: &RunOptions) -> EngineConfig {
@@ -329,12 +339,13 @@ pub struct Checkpoint {
 /// of configurations sharing a warmup prefix can fork each member from
 /// the snapshot via [`resume_compiled`] instead of re-simulating the
 /// prefix; the continuation is bit-identical to an uninterrupted run.
+/// Checkpoints are untraced: `opts.trace` must be off.
 pub fn checkpoint_compiled(
     cp: &CompiledProgram,
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
-    check_options(opts)?;
+    check_untraced(opts)?;
     let mut engine = Engine::new(cp, engine_config(opts));
     let finished = engine.run_until(at_cycle)?;
     Ok(Checkpoint {
@@ -345,17 +356,17 @@ pub fn checkpoint_compiled(
 
 /// Restore an engine from `snapshot` under `opts` and run it to
 /// completion. The options must describe the same simulation the
-/// snapshot was taken from, except for the cycle/event budgets and the
+/// snapshot was taken from, except for the cycle budget and the
 /// fault plan — the latter only while no fault of the snapshotting plan
 /// had fired before the checkpoint (so a fault-free warmup forks into
-/// differently-faulted continuations).
+/// differently-faulted continuations). `opts.trace` must be off.
 pub fn resume_compiled(
     cp: &CompiledProgram,
     name: String,
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
-    check_options(opts)?;
+    check_untraced(opts)?;
     let label = mode_label(opts.mode, opts.sync);
     let mut engine = Engine::restore(cp, engine_config(opts), snapshot)?;
     engine.run_until(Cycle::MAX)?;
@@ -370,7 +381,7 @@ pub fn checkpoint_program(
     opts: &RunOptions,
     at_cycle: Cycle,
 ) -> Result<Checkpoint, String> {
-    check_options(opts)?;
+    check_untraced(opts)?;
     let acfg = analyze_config(&opts.machine, &opts.policy, opts.sync);
     gate_program(program, opts.gate, &acfg)?;
     let map = AddressMap::new(&opts.machine);
@@ -386,7 +397,7 @@ pub fn resume_program(
     opts: &RunOptions,
     snapshot: &[u8],
 ) -> Result<RunSummary, String> {
-    check_options(opts)?;
+    check_untraced(opts)?;
     let map = AddressMap::new(&opts.machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
     resume_compiled(&cp, program.name.clone(), opts, snapshot)

@@ -14,7 +14,7 @@ use slipstream::runner::{
     checkpoint_compiled, checkpoint_program, resume_compiled, resume_program, run_compiled,
     run_program, RunOptions,
 };
-use slipstream::{stats_fingerprint, TraceConfig, TraceEvent};
+use slipstream::{stats_fingerprint, Engine, EngineConfig, TraceConfig, TraceEvent};
 
 fn machine(cmps: usize) -> MachineConfig {
     let mut m = MachineConfig::paper();
@@ -196,6 +196,48 @@ fn memo_run_is_an_error() {
         let err = err.unwrap_or_else(|| panic!("{entry} accepted memo = true"));
         assert!(err.contains("memo"), "{entry}: {err}");
     }
+}
+
+#[test]
+fn traced_checkpoint_resume_or_restore_is_an_error() {
+    // Checkpoints are untraced: every checkpoint, resume and restore
+    // entry point refuses tracing with an `Err`, not a panic.
+    let mut b = ProgramBuilder::new("traced");
+    let a = b.shared_array("a", 64, 8);
+    let i = b.var();
+    b.parallel(move |r| {
+        r.par_for(None, i, 0, 64, move |body| body.load(a, Expr::v(i)));
+    });
+    let p = b.build();
+    let plain = RunOptions::new(ExecMode::Slipstream).with_machine(machine(4));
+    let cp = compile(&p, &AddressMap::new(&plain.machine)).unwrap();
+    let ck = checkpoint_compiled(&cp, &plain, 1).unwrap();
+    let o = plain.clone().with_trace(TraceConfig::on());
+    let mut cfg = EngineConfig::new(o.machine.clone(), o.mode);
+    cfg.trace = o.trace;
+    let name = || p.name.clone();
+    for (entry, err) in [
+        ("checkpoint_compiled", checkpoint_compiled(&cp, &o, 1).err()),
+        ("checkpoint_program", checkpoint_program(&p, &o, 1).err()),
+        (
+            "resume_compiled",
+            resume_compiled(&cp, name(), &o, &ck.bytes).err(),
+        ),
+        ("resume_program", resume_program(&p, &o, &ck.bytes).err()),
+        (
+            "Engine::restore",
+            Engine::restore(&cp, cfg, &ck.bytes).err(),
+        ),
+    ] {
+        let err = err.unwrap_or_else(|| panic!("{entry} accepted tracing"));
+        assert!(err.contains("untraced"), "{entry}: {err}");
+    }
+    // A traced straight run still works, and a zero-capacity trace
+    // config is off, so it resumes.
+    assert!(run_program(&p, &o).unwrap().raw.trace.is_some());
+    let off = plain.with_trace(TraceConfig::with_capacity(0));
+    let resumed = resume_compiled(&cp, name(), &off, &ck.bytes).unwrap();
+    assert!(resumed.raw.trace.is_none());
 }
 
 #[test]

@@ -8,10 +8,10 @@ use omp_ir::node::{Program, ScheduleKind, ScheduleSpec};
 use omp_ir::ProgramBuilder;
 use omp_rt::ExecMode;
 use omp_rt::SlipSync;
-use sim_trace::{analyze, chrome_trace_json, validate_chrome_trace, TraceConfig, TraceEvent};
+use sim_trace::{analyze, TraceConfig, TraceEvent};
 use slipstream::faults::{FaultEvent, FaultKind, FaultPlan};
 use slipstream::runner::{run_program, RunOptions};
-use slipstream::MachineConfig;
+use slipstream::{chrome_trace_json, validate_chrome_trace, MachineConfig};
 
 fn small_machine() -> MachineConfig {
     let mut m = MachineConfig::paper();

@@ -5,20 +5,14 @@
 //! three pieces every serializing crate shares:
 //!
 //! - [`Writer`] / [`Reader`]: primitive framing (LE integers, lengths,
-//!   strings, `Vec`/`VecDeque`/`Option` combinators). The reader is
-//!   bounds-checked and returns [`SnapError`] instead of panicking on
-//!   truncated or corrupt input.
+//!   `Vec`/`VecDeque`/`Option` combinators). The reader is bounds-checked
+//!   and returns [`SnapError`] instead of panicking on truncated or
+//!   corrupt input.
 //! - [`seal`] / [`open`]: the envelope — magic, format version, payload
 //!   length, and an FNV-1a checksum over the payload. Snapshots are
 //!   **build-internal**: the version is bumped on any layout change and
 //!   `open` rejects mismatches, so a snapshot never silently deserializes
 //!   under a different layout.
-//! - [`intern`]: a leak-once interner mapping decoded strings back to
-//!   `&'static str`. The simulator labels state with static strings
-//!   (time classes, fill classes, fault kinds and sites); the label
-//!   sets are small and finite, so restoring them via a linear-scan
-//!   interner is simpler and safer than round-tripping enum ordinals for
-//!   every labelled subsystem.
 //!
 //! The codec is deliberately schema-less: each struct serializes its
 //! fields in declaration order with no tags. The envelope version is the
@@ -28,7 +22,6 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Error produced by [`Reader`] operations and [`open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,17 +134,6 @@ impl Writer {
         self.u64(v as u64);
     }
 
-    /// Append an `f64` by its IEEE-754 bit pattern (exact round-trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
     /// Append a length-prefixed slice, serializing each element with `f`.
     pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Writer, &T)) {
         self.usize(items.len());
@@ -257,18 +239,6 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| SnapError::Corrupt { what: "usize" })
     }
 
-    /// Read an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, SnapError> {
-        let n = self.usize()?;
-        let bytes = self.take(n, "string")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Corrupt { what: "utf8" })
-    }
-
     /// Read a length-prefixed sequence, decoding each element with `f`.
     pub fn seq<T>(
         &mut self,
@@ -367,26 +337,6 @@ pub fn open(bytes: &[u8], want_version: u32) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Leak-once static-string table backing [`intern`].
-static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// Map a decoded string to a `&'static str`, leaking at most one copy
-/// per distinct value for the life of the process.
-///
-/// The simulator's labelled state (time classes, fill classes, fault
-/// labels) uses `&'static str`; the label alphabet is small
-/// and fixed, so a linear scan over the seen set is fine and a new leak
-/// only happens the first time each label is restored.
-pub fn intern(s: &str) -> &'static str {
-    let mut table = INTERNED.lock().unwrap();
-    if let Some(hit) = table.iter().find(|t| **t == s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    table.push(leaked);
-    leaked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,8 +350,6 @@ mod tests {
         w.u64(u64::MAX - 3);
         w.i64(-42);
         w.usize(12345);
-        w.f64(-0.1);
-        w.str("hello, snapshot");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -410,8 +358,6 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.usize().unwrap(), 12345);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
-        assert_eq!(r.string().unwrap(), "hello, snapshot");
         r.expect_end().unwrap();
     }
 
@@ -466,13 +412,5 @@ mod tests {
         let mut short = sealed.clone();
         short.truncate(sealed.len() - 1);
         assert!(open(&short, 3).is_err());
-    }
-
-    #[test]
-    fn intern_stable_identity() {
-        let a = intern("Busy");
-        let b = intern(&String::from("Busy"));
-        assert!(std::ptr::eq(a, b));
-        assert_eq!(intern("Lock"), "Lock");
     }
 }
