@@ -4,9 +4,7 @@
 //! processor-usage modes with the trace oracle and the analyzer-backed
 //! gate expectation, deduplicates failures by structural fingerprint,
 //! auto-shrinks each unique failure to a 1-minimal repro, and writes
-//! replayable artifacts. Clean, structurally rich exact-class programs
-//! are promoted into a corpus directory the soak harness can consume
-//! via `SOAK_CORPUS`.
+//! replayable artifacts.
 //!
 //! Environment:
 //!
@@ -15,7 +13,7 @@
 //!   function of `(FUZZ_SEED, FUZZ_ITERS)` regardless of host threads
 //!   (`BENCH_WORKERS` only caps how many shards run at once);
 //! * `FUZZ_OUT` — output directory (default `fuzz-out`): receives
-//!   `repro-<fingerprint>.json`, `failures.json`, and `corpus/`;
+//!   `repro-<fingerprint>.json` and `failures.json`;
 //! * `FUZZ_SELFCHECK` — when `1`, instead of a campaign, verify that
 //!   every seeded engine-mutation class is caught, minimized to ≤ 25 IR
 //!   nodes, and reproducible from its serialized artifact alone;
@@ -27,7 +25,6 @@
 
 use bench::{env, pool};
 use omp_fuzz::{run_campaign, self_check_mutation, CampaignConfig, CampaignResult};
-use omp_ir::program_to_json;
 use slipstream::EngineMutation;
 use std::path::Path;
 
@@ -52,7 +49,6 @@ fn merge(shards: Vec<CampaignResult>) -> CampaignResult {
         faulted_cases: 0,
         repros: Vec::new(),
         fingerprint_counts: Vec::new(),
-        survivors: Vec::new(),
     };
     for r in shards {
         out.cases += r.cases;
@@ -69,9 +65,7 @@ fn merge(shards: Vec<CampaignResult>) -> CampaignResult {
                 }
             }
         }
-        out.survivors.extend(r.survivors);
     }
-    out.survivors.truncate(32);
     out
 }
 
@@ -158,26 +152,16 @@ fn main() {
         write(&out_dir.join(repro.file_name()), &repro.to_json());
     }
     write(&out_dir.join("failures.json"), &merged.summary_json());
-    // Always materialize the corpus directory so downstream consumers
-    // (`SOAK_CORPUS`) can point at it even on a survivor-free run.
-    std::fs::create_dir_all(out_dir.join("corpus")).expect("create corpus directory");
-    for p in &merged.survivors {
-        write(
-            &out_dir.join("corpus").join(format!("{}.json", p.name)),
-            &program_to_json(p),
-        );
-    }
 
     println!(
         "fuzz: {} cases ({} exact / {} converge-only / {} deny, {} faulted), \
-         {} unique failures, {} survivors promoted",
+         {} unique failures",
         merged.cases,
         merged.class_counts[0],
         merged.class_counts[1],
         merged.class_counts[2],
         merged.faulted_cases,
         merged.repros.len(),
-        merged.survivors.len()
     );
     for ((fp, n), repro) in merged.fingerprint_counts.iter().zip(&merged.repros) {
         eprintln!(

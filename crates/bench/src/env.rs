@@ -1,11 +1,11 @@
 //! Uniform environment-variable parsing for the bench binaries.
 //!
-//! Every knob across the harness (`BENCH_WORKERS`, `SOAK_*`, `FUZZ_*`,
-//! `THROUGHPUT_*`, `TRACE_*`, `ANALYZE_*`, ...) resolves through these helpers so the rules are identical
-//! everywhere: an unset or empty variable falls back to its default,
-//! and a *malformed* value aborts loudly with a uniform message instead
-//! of being silently swallowed — a sweep that ran with the wrong worker
-//! count because of a typo is worse than one that refused to start.
+//! Every knob across the harness (`BENCH_WORKERS`, `FUZZ_*`, `TRACE_*`,
+//! `ANALYZE_*`, ...) resolves through these helpers so the rules are
+//! identical everywhere: an unset or empty variable falls back to its
+//! default, and a *malformed* value aborts loudly with a uniform message
+//! instead of being silently swallowed — a sweep that ran with the wrong
+//! worker count because of a typo is worse than one that refused to start.
 
 use std::fmt::Display;
 use std::str::FromStr;

@@ -1,5 +1,5 @@
-//! Experiment harness shared by the figure/table binaries and the
-//! timing benches.
+//! Experiment harness shared by the figure, table and ablation
+//! binaries.
 //!
 //! Each function regenerates the data behind one piece of the paper's
 //! evaluation (Section 5). Runs for different modes are independent
@@ -22,12 +22,7 @@ use slipstream::MachineConfig;
 
 /// The modes of the static-scheduling comparison (Figure 2), in the
 /// paper's order.
-pub const STATIC_MODES: [(&str, ExecMode, Option<SlipSync>); 4] = [
-    ("single", ExecMode::Single, None),
-    ("double", ExecMode::Double, None),
-    ("slip-L1", ExecMode::Slipstream, Some(SlipSync::L1)),
-    ("slip-G0", ExecMode::Slipstream, Some(SlipSync::G0)),
-];
+pub use slipstream::runner::STATIC_MODES;
 
 /// The modes of the dynamic-scheduling comparison (Figure 4): the paper
 /// compares against one task per CMP only, with zero-token global
@@ -252,37 +247,6 @@ pub fn best_slip_gain(rows: &[RunSummary]) -> f64 {
     best_base as f64 / best_slip as f64 - 1.0
 }
 
-/// Canonical fingerprint of everything a run reports — the workspace-wide
-/// bit-identity contract now lives in [`slipstream::stats_fingerprint`]
-/// (the fuzzer needs it without depending on this crate); this re-export
-/// keeps the historical bench-side name working.
-pub fn summary_fingerprint(s: &RunSummary) -> String {
-    slipstream::stats_fingerprint(s)
-}
-
-/// FNV-1a hash of a canonical configuration string, used to stamp
-/// benchmark output rows so perf-trajectory scripts can detect when two
-/// rows were produced under different configurations (machine, preset,
-/// mode, tracing) and refuse to compare them.
-pub fn config_hash(canonical: &str) -> u64 {
-    dsm_sim::fnv1a(canonical.as_bytes())
-}
-
-/// The canonical configuration string hashed into throughput rows: every
-/// knob that changes what a row measures.
-pub fn throughput_config_string(
-    machine: &MachineConfig,
-    preset: &str,
-    benchmark: &str,
-    mode: &str,
-    trace: bool,
-) -> String {
-    format!(
-        "v1|cmps={}|cpus={}|l2b={}|preset={preset}|bm={benchmark}|mode={mode}|trace={trace}",
-        machine.num_cmps, machine.cpus_per_cmp, machine.l2.size_bytes,
-    )
-}
-
 /// The static-analyzer sweep corpus: every NPB kernel (tiny + paper
 /// presets, plus dynamic/guided scheduling variants for the kernels in
 /// the dynamic experiment) and every example-analogue program, swept by
@@ -445,19 +409,6 @@ mod tests {
         // Serializes cleanly.
         let js = RunRecord::to_json_array(&recs);
         assert!(js.contains("slip-G0"));
-    }
-
-    #[test]
-    fn config_hash_is_stable_and_discriminating() {
-        // FNV-1a reference vector.
-        assert_eq!(config_hash(""), 0xcbf2_9ce4_8422_2325);
-        let m = small_machine();
-        let a = throughput_config_string(&m, "tiny", "cg", "single", false);
-        let b = throughput_config_string(&m, "tiny", "cg", "single", true);
-        let c = throughput_config_string(&m, "paper", "cg", "single", false);
-        assert_eq!(config_hash(&a), config_hash(&a));
-        assert_ne!(config_hash(&a), config_hash(&b), "trace flag changes hash");
-        assert_ne!(config_hash(&a), config_hash(&c), "preset changes hash");
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// other task still runs to completion and the pool's locks stay
 /// unpoisoned for subsequent calls.
 ///
-/// Long campaign drivers (the fuzz and soak binaries) use this so one
+/// Long campaign drivers (the fuzz binary) use this so one
 /// pathological case is *reported* rather than aborting hours of
 /// remaining work.
 pub fn run_all_caught<T, F>(tasks: Vec<F>) -> Vec<Result<T, String>>

@@ -13,10 +13,11 @@
 //! GOLDEN_BLESS=1 cargo test -p bench --test golden
 //! ```
 
-use bench::{small_machine, summary_fingerprint, STATIC_MODES};
+use bench::{small_machine, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
 use slipstream::runner::{run_program, RunOptions};
+use slipstream::stats_fingerprint;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_tiny.txt");
 
@@ -30,12 +31,7 @@ fn current_fingerprints() -> String {
             o.sync = sync;
             o.env = RuntimeEnv::default();
             let s = run_program(&program, &o).expect("simulation failed");
-            lines.push(format!(
-                "{} {} {}",
-                bm.name(),
-                label,
-                summary_fingerprint(&s)
-            ));
+            lines.push(format!("{} {} {}", bm.name(), label, stats_fingerprint(&s)));
         }
     }
     lines.join("\n") + "\n"
@@ -84,8 +80,8 @@ fn golden_trace_parity() {
             let traced = run_program(&program, &o).expect("traced run");
             assert!(traced.raw.trace.is_some());
             assert_eq!(
-                summary_fingerprint(&plain),
-                summary_fingerprint(&traced),
+                stats_fingerprint(&plain),
+                stats_fingerprint(&traced),
                 "tracing perturbed the {} {label} simulation",
                 bm.name()
             );
@@ -124,8 +120,8 @@ fn golden_runs_are_repeatable_in_process() {
     let a = run_program(&program, &o).expect("run 1");
     let b = run_program(&program, &o).expect("run 2");
     assert_eq!(
-        summary_fingerprint(&a),
-        summary_fingerprint(&b),
+        stats_fingerprint(&a),
+        stats_fingerprint(&b),
         "repeat {label} runs diverged"
     );
 }

@@ -8,16 +8,16 @@
 //! kernel, mode, and fault plan. Checkpoints are untraced; the traced
 //! entry points' `Err` is pinned in the slipstream crate's `edge` tests.
 
-use bench::{small_machine, summary_fingerprint, STATIC_MODES};
+use bench::{small_machine, STATIC_MODES};
 use npb_kernels::Benchmark;
 use omp_rt::RuntimeEnv;
 use slipstream::faults::FaultPlan;
 use slipstream::runner::{checkpoint_program, resume_program, run_program, RunOptions};
-use slipstream::{ExecMode, SlipSync};
+use slipstream::{stats_fingerprint, ExecMode, SlipSync};
 
 fn straight(program: &omp_ir::Program, o: &RunOptions) -> (String, u64) {
     let s = run_program(program, o).expect("straight run failed");
-    (summary_fingerprint(&s), s.exec_cycles)
+    (stats_fingerprint(&s), s.exec_cycles)
 }
 
 /// Checkpoint at `at`, resume under `resume_opts`, fingerprint the
@@ -30,7 +30,7 @@ fn sliced(
 ) -> String {
     let cp = checkpoint_program(program, warm_opts, at).expect("checkpoint failed");
     let s = resume_program(program, resume_opts, &cp.bytes).expect("resume failed");
-    summary_fingerprint(&s)
+    stats_fingerprint(&s)
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn fault_free_warmup_forks_into_faulted_continuations() {
     assert!(s.raw.recoveries > 0, "the wander must fire post-restore");
     assert_eq!(
         want,
-        summary_fingerprint(&s),
+        stats_fingerprint(&s),
         "fault-plan fork diverged from straight faulted run"
     );
 
@@ -134,8 +134,8 @@ fn fault_free_warmup_forks_into_faulted_continuations() {
         let a = resume_program(&program, &o, &cp.bytes).expect("fork a");
         let b = resume_program(&program, &o, &cp2.bytes).expect("fork b");
         assert_eq!(
-            summary_fingerprint(&a),
-            summary_fingerprint(&b),
+            stats_fingerprint(&a),
+            stats_fingerprint(&b),
             "forks (seed {seed}) from the two checkpoints must agree"
         );
     }
@@ -201,5 +201,5 @@ fn checkpoint_past_the_end_captures_the_finished_run() {
     let cp = checkpoint_program(&program, &o, cycles * 2).expect("checkpoint");
     assert!(cp.finished, "run must have completed before the boundary");
     let s = resume_program(&program, &o, &cp.bytes).expect("resume of finished run");
-    assert_eq!(want, summary_fingerprint(&s));
+    assert_eq!(want, stats_fingerprint(&s));
 }

@@ -1,6 +1,6 @@
 //! Campaign driving: seeded batches of differential cases with
-//! fingerprint deduplication, auto-shrinking, corpus promotion, and the
-//! engine-mutation self-check.
+//! fingerprint deduplication, auto-shrinking, and the engine-mutation
+//! self-check.
 //!
 //! A campaign is a pure function of its configuration: the same
 //! `(seed, iters, GenConfig, DiffOptions)` always generates the same
@@ -9,7 +9,6 @@
 
 use dsm_sim::rng::SplitMix64;
 use omp_analyze::Equivalence;
-use omp_ir::node::Program;
 use slipstream::EngineMutation;
 
 use crate::artifact::Repro;
@@ -33,8 +32,6 @@ pub struct CampaignConfig {
     pub fault_every: Option<u64>,
     /// Minimize each newly-fingerprinted failure before archiving it.
     pub shrink_failures: bool,
-    /// Cap on promoted clean survivors.
-    pub max_survivors: usize,
 }
 
 impl CampaignConfig {
@@ -47,7 +44,6 @@ impl CampaignConfig {
             diff: DiffOptions::campaign(),
             fault_every: Some(5),
             shrink_failures: true,
-            max_survivors: 16,
         }
     }
 }
@@ -82,8 +78,6 @@ pub struct CampaignResult {
     pub repros: Vec<Repro>,
     /// `(fingerprint, occurrences)` in discovery order.
     pub fingerprint_counts: Vec<(String, u64)>,
-    /// Clean exact-class programs promoted for the soak corpus.
-    pub survivors: Vec<Program>,
 }
 
 impl CampaignResult {
@@ -109,7 +103,7 @@ impl CampaignResult {
         format!(
             concat!(
                 "{{\"cases\":{},\"exact\":{},\"converge_only\":{},\"deny\":{},",
-                "\"faulted_cases\":{},\"survivors\":{},\"unique_failures\":{},",
+                "\"faulted_cases\":{},\"unique_failures\":{},",
                 "\"failures\":[{}]}}"
             ),
             self.cases,
@@ -117,7 +111,6 @@ impl CampaignResult {
             self.class_counts[1],
             self.class_counts[2],
             self.faulted_cases,
-            self.survivors.len(),
             self.repros.len(),
             fps.join(",")
         )
@@ -132,12 +125,6 @@ fn class_index(c: Equivalence) -> usize {
     }
 }
 
-/// A survivor worth keeping: clean, exact class, completed everywhere,
-/// and structurally rich enough to stress the engine as a soak scenario.
-fn promotable(p: &Program, class: Equivalence, modes_completed: u64, clean: bool) -> bool {
-    clean && class == Equivalence::Exact && modes_completed == 4 && p.node_count() >= 12
-}
-
 /// Run a campaign, streaming per-case outcomes to `progress`.
 pub fn run_campaign_with<F: FnMut(&CaseOutcome)>(
     cfg: &CampaignConfig,
@@ -150,7 +137,6 @@ pub fn run_campaign_with<F: FnMut(&CaseOutcome)>(
         faulted_cases: 0,
         repros: Vec::new(),
         fingerprint_counts: Vec::new(),
-        survivors: Vec::new(),
     };
     for index in 0..cfg.iters {
         let case_seed = seeds.next_u64();
@@ -184,11 +170,6 @@ pub fn run_campaign_with<F: FnMut(&CaseOutcome)>(
             result
                 .repros
                 .push(Repro::new(Some(case_seed), f.clone(), &diff, minimized));
-        }
-        if result.survivors.len() < cfg.max_survivors
-            && promotable(&program, res.class, res.modes_completed, res.clean())
-        {
-            result.survivors.push(program.clone());
         }
         progress(&CaseOutcome {
             index,
@@ -261,11 +242,10 @@ mod tests {
         assert_eq!(a.cases, b.cases);
         assert_eq!(a.class_counts, b.class_counts);
         assert_eq!(a.fingerprint_counts, b.fingerprint_counts);
-        assert_eq!(a.survivors, b.survivors);
     }
 
     #[test]
-    fn clean_campaign_produces_survivors_and_summary() {
+    fn clean_campaign_produces_summary() {
         let mut cfg = CampaignConfig::new(20, 3);
         cfg.gen = GenConfig::small();
         let res = run_campaign(&cfg);

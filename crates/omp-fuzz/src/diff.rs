@@ -34,12 +34,7 @@ use slipstream::runner::{run_program, RunOptions};
 use slipstream::{AStreamPolicy, EngineMutation, ExecMode, FaultPlan, RecoveryPolicy, SlipSync};
 
 /// The four processor-usage modes of the paper's evaluation, with labels.
-pub const MODES: [(&str, ExecMode, Option<SlipSync>); 4] = [
-    ("single", ExecMode::Single, None),
-    ("double", ExecMode::Double, None),
-    ("slip-L1", ExecMode::Slipstream, Some(SlipSync::L1)),
-    ("slip-G0", ExecMode::Slipstream, Some(SlipSync::G0)),
-];
+pub use slipstream::runner::STATIC_MODES as MODES;
 
 /// Options for one differential case.
 #[derive(Debug, Clone)]

@@ -18,8 +18,7 @@
 //! 4. [`artifact`] serializes the minimized case as a self-contained
 //!    replayable JSON repro;
 //! 5. [`campaign`] drives seeded batches, deduplicates failures by
-//!    fingerprint, promotes interesting clean survivors into a soak
-//!    corpus, and self-checks the whole loop against seeded engine
+//!    fingerprint, and self-checks the whole loop against seeded engine
 //!    mutations ([`slipstream::EngineMutation`]).
 
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@ use omp_fuzz::{run_campaign, self_check_mutation, CampaignConfig, DiffOptions, R
 use slipstream::EngineMutation;
 
 #[test]
-fn fixed_seed_campaign_is_clean_and_promotes_survivors() {
+fn fixed_seed_campaign_is_clean() {
     let cfg = CampaignConfig::new(60, 1);
     let res = run_campaign(&cfg);
     assert_eq!(res.cases, 60);
@@ -22,11 +22,6 @@ fn fixed_seed_campaign_is_clean_and_promotes_survivors() {
     assert_eq!(res.class_counts.iter().sum::<u64>(), 60);
     assert!(res.class_counts[0] > 0, "no exact-class programs generated");
     assert!(res.faulted_cases > 0, "no fault passes ran");
-    assert!(!res.survivors.is_empty(), "no survivors promoted");
-    for s in &res.survivors {
-        assert!(omp_ir::validate(s).is_ok());
-        assert!(s.node_count() >= 12);
-    }
 }
 
 #[test]

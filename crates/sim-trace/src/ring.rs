@@ -31,11 +31,6 @@ impl EventRing {
     }
 
     #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }

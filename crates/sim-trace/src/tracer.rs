@@ -90,10 +90,6 @@ impl Tracer {
         self.enabled
     }
 
-    pub fn domain(&self) -> TrackDomain {
-        self.domain
-    }
-
     /// Record `ev` on `track` at `cycle`. No-op when disabled, but prefer
     /// guarding with `is_on()` at the call site so the event payload is
     /// never built on the off path.

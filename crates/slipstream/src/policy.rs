@@ -138,10 +138,11 @@ impl RecoveryPolicy {
         }
     }
 
-    /// The hardened configuration used by the chaos-soak harness: the
-    /// paper settings plus a token-wait timeout at half the watchdog
-    /// horizon, so a lost token or lost signal recovers an A-stream even
-    /// in configurations where the watchdog never gets the chance.
+    /// The hardened configuration used by the chaos sweep and the
+    /// fuzzer's fault passes: the paper settings plus a token-wait timeout
+    /// at half the watchdog horizon, so a lost token or lost signal
+    /// recovers an A-stream even in configurations where the watchdog
+    /// never gets the chance.
     pub fn hardened() -> Self {
         RecoveryPolicy {
             token_wait_cycles: 1_000_000,

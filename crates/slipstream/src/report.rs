@@ -115,13 +115,13 @@ pub fn resilience_table(r: &RunResult) -> String {
 
 /// Canonical fingerprint of everything a run reports, used by the
 /// golden-determinism regression tests, the snapshot parity tests, and
-/// the throughput harness. Two runs are
-/// bit-identical iff their fingerprints are equal: the string covers the
-/// execution time, both time breakdowns, per-CPU cache/sync counters,
-/// user-level op totals for both streams, the fill classification,
-/// scheduler and resilience counters, and the machine-wide traffic
-/// counters. Observation-only diagnostics (traces, processed-event and
-/// lock-acquisition counts) are deliberately outside the contract.
+/// perfbench's pinned fingerprints. Two runs are bit-identical iff their
+/// fingerprints are equal: the string covers the execution time, both
+/// time breakdowns, per-CPU cache/sync counters, user-level op totals for
+/// both streams, the fill classification, scheduler and resilience
+/// counters, and the machine-wide traffic counters. Observation-only
+/// diagnostics (traces, processed-event and lock-acquisition counts) are
+/// deliberately outside the contract.
 pub fn stats_fingerprint(s: &RunSummary) -> String {
     use dsm_sim::{ReqKind, FILL_CLASSES, TIME_CLASSES};
     let mut v: Vec<u64> = vec![s.exec_cycles];

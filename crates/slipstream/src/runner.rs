@@ -403,9 +403,17 @@ pub fn resume_program(
     resume_compiled(&cp, program.name.clone(), opts, snapshot)
 }
 
+/// The four processor-usage modes of the paper's static-scheduling
+/// comparison (Figure 2), with their labels, in the paper's order.
+pub const STATIC_MODES: [(&str, ExecMode, Option<SlipSync>); 4] = [
+    ("single", ExecMode::Single, None),
+    ("double", ExecMode::Double, None),
+    ("slip-L1", ExecMode::Slipstream, Some(SlipSync::L1)),
+    ("slip-G0", ExecMode::Slipstream, Some(SlipSync::G0)),
+];
+
 /// Run the three-way comparison of the paper's Figure 2 for one program:
-/// single, double, slipstream-L1, slipstream-G0. Returns the summaries in
-/// that order.
+/// every mode of [`STATIC_MODES`]. Returns the summaries in that order.
 pub fn run_figure2_modes(
     program: &Program,
     machine: &MachineConfig,
@@ -414,12 +422,7 @@ pub fn run_figure2_modes(
     let map = AddressMap::new(machine);
     let cp = compile(program, &map).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
-    for (mode, sync) in [
-        (ExecMode::Single, None),
-        (ExecMode::Double, None),
-        (ExecMode::Slipstream, Some(SlipSync::L1)),
-        (ExecMode::Slipstream, Some(SlipSync::G0)),
-    ] {
+    for (_, mode, sync) in STATIC_MODES {
         let mut o = RunOptions::new(mode)
             .with_machine(machine.clone())
             .with_env(env.clone());

@@ -4,6 +4,7 @@
 //! single-stream mode visibly.
 
 use dsm_sim::MachineConfig;
+use npb_kernels::Benchmark;
 use omp_ir::expr::Expr;
 use omp_ir::node::{Program, ReductionOp, ScheduleSpec};
 use omp_ir::trace::trace;
@@ -88,7 +89,8 @@ fn assert_oracle(r: &RunSummary, oracle: &omp_ir::trace::TraceSummary, ctx: &str
         r.raw.user_r.compute_cycles, oracle.total.compute_cycles,
         "R compute {ctx}"
     );
-    assert_eq!(r.raw.user_r.io_in, oracle.total.io_in, "R io {ctx}");
+    assert_eq!(r.raw.user_r.io_in, oracle.total.io_in, "R io in {ctx}");
+    assert_eq!(r.raw.user_r.io_out, oracle.total.io_out, "R io out {ctx}");
     assert_eq!(r.raw.user_a.io_in, 0, "A never does I/O {ctx}");
     assert_eq!(r.raw.user_a.io_out, 0, "A never does I/O {ctx}");
 }
@@ -103,11 +105,15 @@ fn assert_ledger_sane(r: &RunSummary, plan_len: usize, ctx: &str) {
     );
     let rec: u64 = l.iter().map(|p| p.recoveries).sum();
     let wd: u64 = l.iter().map(|p| p.watchdog_recoveries).sum();
+    let to: u64 = l.iter().map(|p| p.timeout_recoveries).sum();
     assert_eq!(rec, r.raw.recoveries, "ledger vs aggregate {ctx}");
     assert_eq!(wd, r.raw.watchdog_recoveries, "ledger vs aggregate {ctx}");
-    assert!(wd <= rec, "watchdog recoveries are a subset {ctx}");
+    assert_eq!(to, r.raw.timeout_recoveries, "ledger vs aggregate {ctx}");
     for p in l {
-        assert!(p.watchdog_recoveries <= p.recoveries, "{ctx}");
+        assert!(
+            p.watchdog_recoveries + p.timeout_recoveries <= p.recoveries,
+            "watchdog and timeout recoveries are subsets {ctx}"
+        );
         assert_eq!(p.demoted(), p.demoted_at.is_some(), "{ctx}");
         assert_eq!(p.demoted(), p.mode == PairMode::DegradedSingle, "{ctx}");
     }
@@ -116,6 +122,44 @@ fn assert_ledger_sane(r: &RunSummary, plan_len: usize, ctx: &str) {
         l.iter().filter(|p| p.demoted()).count() as u64,
         "{ctx}"
     );
+}
+
+/// The trace agrees with the ledger: nothing was dropped, each pair has
+/// exactly one `Recovery` event per recovery, labelled watchdog and
+/// timeout as often as its ledger counts them, and one `Demotion` event
+/// if it was demoted, none otherwise (demotion is one-way).
+fn assert_trace_consistent(r: &RunSummary, ctx: &str) {
+    let data = r.raw.trace.as_ref().expect("traced run");
+    assert_eq!(data.dropped, 0, "lossless trace {ctx}");
+    let mut traced = vec![[0u64; 4]; r.raw.pair_ledgers.len()];
+    for e in &data.events {
+        match e.ev {
+            TraceEvent::Recovery {
+                pair,
+                watchdog,
+                timeout,
+            } => {
+                let t = &mut traced[pair as usize];
+                t[0] += 1;
+                t[1] += u64::from(watchdog);
+                t[2] += u64::from(timeout);
+            }
+            TraceEvent::Demotion { pair } => traced[pair as usize][3] += 1,
+            _ => {}
+        }
+    }
+    for (p, (t, l)) in traced.iter().zip(&r.raw.pair_ledgers).enumerate() {
+        let ledger = [
+            l.recoveries,
+            l.watchdog_recoveries,
+            l.timeout_recoveries,
+            u64::from(l.demoted()),
+        ];
+        assert_eq!(
+            *t, ledger,
+            "pair {p} [recoveries, watchdog, timeout, demotions]: trace vs ledger {ctx}"
+        );
+    }
 }
 
 /// The tentpole property: 200+ seeded random fault plans, every one
@@ -140,6 +184,54 @@ fn random_fault_plans_never_corrupt_or_deadlock() {
         assert_oracle(&r, &oracle, &ctx);
         assert_ledger_sane(&r, n, &ctx);
     }
+}
+
+/// The chaos sweep over the NPB kernels: 200 seeded random fault plans
+/// on the tiny presets, cycling through the five kernels, both
+/// synchronization policies and four retry budgets, with every detection
+/// tier armed and tracing on. Every run must end inside the cycle budget
+/// with oracle-exact R-stream output, a coherent ledger and a trace that
+/// agrees with it, and the sweep as a whole must fire the token-wait
+/// timeout tier, not just survive it.
+#[test]
+fn npb_fault_sweep_keeps_ledger_and_trace_consistent() {
+    let kernels: Vec<_> = Benchmark::ALL
+        .iter()
+        .map(|bm| {
+            let p = bm.build_tiny();
+            let oracle = trace(&p, TEAM);
+            (bm.name(), p, oracle)
+        })
+        .collect();
+    let recovery = RecoveryPolicy::hardened()
+        .with_watchdog(150_000)
+        .with_token_wait(120_000);
+    let budgets = [8, 0, 2, 4];
+    let mut timeouts = 0;
+    for seed in 0..200u64 {
+        let (name, p, oracle) = &kernels[seed as usize % kernels.len()];
+        let sync = if (seed / 5) % 2 == 0 {
+            SlipSync::G0
+        } else {
+            SlipSync::L1
+        };
+        let plan = FaultPlan::random(seed, TEAM, 6);
+        let n = plan.events.len();
+        let opts = RunOptions::new(ExecMode::Slipstream)
+            .with_machine(machine())
+            .with_sync(sync)
+            .with_faults(plan)
+            .with_recovery(recovery.with_max_recoveries(budgets[seed as usize % budgets.len()]))
+            .with_cycle_budget(2_000_000_000)
+            .with_trace(TraceConfig::on());
+        let ctx = format!("(seed {seed}, {name}, {})", sync.label());
+        let r = run_program(p, &opts).unwrap_or_else(|e| panic!("run failed {ctx}: {e}"));
+        assert_oracle(&r, oracle, &ctx);
+        assert_ledger_sane(&r, n, &ctx);
+        assert_trace_consistent(&r, &ctx);
+        timeouts += r.raw.timeout_recoveries;
+    }
+    assert!(timeouts > 0, "the sweep never fired the token-wait timeout");
 }
 
 /// Replaying the same seed must reproduce the run exactly — the whole
