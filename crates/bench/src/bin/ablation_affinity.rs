@@ -1,6 +1,6 @@
 //! Extension — affinity scheduling (the paper's Section 3.2.2 cites it
 //! as the remedy for dynamic scheduling's lost cache affinity:
-//! "A proposed affinity scheduling extension [16] attempts to achieve
+//! "A proposed affinity scheduling extension \[16\] attempts to achieve
 //! the same result for dynamic scheduling").
 //!
 //! Compares static / dynamic / affinity schedules under single and

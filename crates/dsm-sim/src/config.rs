@@ -117,16 +117,6 @@ impl MachineConfig {
         }
     }
 
-    /// A scaled-down configuration for fast unit tests: 4 CMPs and small
-    /// caches, same latency structure.
-    pub fn small_test() -> Self {
-        let mut c = Self::paper();
-        c.num_cmps = 4;
-        c.l1.size_bytes = 2 * 1024;
-        c.l2.size_bytes = 16 * 1024;
-        c
-    }
-
     /// Total number of processors in the machine.
     pub fn num_cpus(&self) -> usize {
         self.num_cmps * self.cpus_per_cmp
@@ -272,10 +262,5 @@ mod tests {
         let mut c = MachineConfig::paper();
         c.l2_mshrs = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn small_test_config_is_valid() {
-        MachineConfig::small_test().validate().unwrap();
     }
 }

@@ -63,13 +63,6 @@ impl CpuTimeline {
         self.advance_to(complete, stall_class);
     }
 
-    /// Jump the clock without attribution — only for initial placement
-    /// before a processor has started executing.
-    pub fn place_at(&mut self, t: Cycle) {
-        debug_assert_eq!(self.stats.time.total(), 0, "placement after execution");
-        self.now = t;
-    }
-
     /// Start recording coalesced time-class spans into a log of at most
     /// `capacity` slices. `capacity == 0` leaves tracing off.
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -91,10 +84,8 @@ impl CpuTimeline {
         self.stats.snapshot(w);
     }
 
-    /// Overwrite this timeline with snapshot state. Unlike [`place_at`],
-    /// this restores mid-run state, so non-zero counters are expected.
-    ///
-    /// [`place_at`]: CpuTimeline::place_at
+    /// Overwrite this timeline with snapshot state: a mid-run clock and
+    /// counters, which are expected to be non-zero.
     pub fn restore_into(&mut self, r: &mut snap::Reader) -> Result<(), snap::SnapError> {
         self.now = r.u64()?;
         self.stats = CpuStats::restore(r)?;
@@ -147,14 +138,6 @@ mod tests {
         c.mem_access(1, 11, TimeClass::MemStall);
         assert_eq!(c.stats.time.get(TimeClass::MemStall), 0);
         assert_eq!(c.now(), 11);
-    }
-
-    #[test]
-    fn placement_sets_start_time() {
-        let mut c = CpuTimeline::new();
-        c.place_at(500);
-        assert_eq!(c.now(), 500);
-        assert_eq!(c.stats.time.total(), 0);
     }
 
     #[test]

@@ -23,10 +23,6 @@ impl StreamRole {
     pub fn is_a(self) -> bool {
         matches!(self, StreamRole::A)
     }
-    /// True for the real R-stream.
-    pub fn is_r(self) -> bool {
-        matches!(self, StreamRole::R)
-    }
 }
 
 /// Buckets of the execution-time breakdown.
@@ -178,24 +174,8 @@ pub struct CpuStats {
     pub l2_hits: u64,
     /// L2 misses (fills from local or remote memory).
     pub l2_misses: u64,
-    /// Shared stores the A-stream converted to read-exclusive prefetches.
-    pub stores_converted: u64,
-    /// Shared stores the A-stream skipped outright.
-    pub stores_skipped: u64,
     /// Barriers passed (for R/Solo) or token-skipped (for A).
     pub barriers: u64,
-    /// Divergence recoveries this CPU underwent.
-    pub recoveries: u64,
-    /// Recoveries forced by the watchdog timeout (a subset of
-    /// `recoveries`): the pair's R side waited at a barrier past the
-    /// watchdog deadline and recovery was initiated without the usual
-    /// token-slack evidence.
-    pub watchdog_recoveries: u64,
-    /// Faults the injection framework fired against this CPU's stream.
-    pub faults_injected: u64,
-    /// 1 if this CPU's pair was demoted to single-stream mode after
-    /// exhausting its recovery budget, else 0.
-    pub demotions: u64,
 }
 
 impl CpuStats {
@@ -208,13 +188,7 @@ impl CpuStats {
             self.l1_hits,
             self.l2_hits,
             self.l2_misses,
-            self.stores_converted,
-            self.stores_skipped,
             self.barriers,
-            self.recoveries,
-            self.watchdog_recoveries,
-            self.faults_injected,
-            self.demotions,
         ] {
             w.u64(v);
         }
@@ -229,13 +203,7 @@ impl CpuStats {
             l1_hits: r.u64()?,
             l2_hits: r.u64()?,
             l2_misses: r.u64()?,
-            stores_converted: r.u64()?,
-            stores_skipped: r.u64()?,
             barriers: r.u64()?,
-            recoveries: r.u64()?,
-            watchdog_recoveries: r.u64()?,
-            faults_injected: r.u64()?,
-            demotions: r.u64()?,
         })
     }
 }
@@ -287,8 +255,6 @@ mod tests {
     #[test]
     fn roles_classify() {
         assert!(StreamRole::A.is_a());
-        assert!(!StreamRole::A.is_r());
-        assert!(StreamRole::R.is_r());
-        assert!(!StreamRole::Solo.is_a() && !StreamRole::Solo.is_r());
+        assert!(!StreamRole::Solo.is_a());
     }
 }

@@ -178,7 +178,7 @@ impl Default for AnalyzeConfig {
 /// Run every analysis pass over `program`: validation plus the walk's
 /// race, skip-set/divergence and lead-bound checks.
 ///
-/// Invalid programs (per [`omp_ir::validate`]) return a report whose
+/// Invalid programs (per [`omp_ir::validate()`]) return a report whose
 /// findings are the validator's diagnostics at `deny` severity; the walk
 /// itself only runs on valid programs.
 pub fn analyze(program: &Program, cfg: &AnalyzeConfig) -> AnalysisReport {

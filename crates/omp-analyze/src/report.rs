@@ -181,11 +181,6 @@ impl AnalysisReport {
         }
     }
 
-    /// Highest severity present, if any finding exists.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
     /// Multi-line human-readable rendering.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
@@ -361,7 +356,6 @@ mod tests {
         assert_eq!(r.deny_count(), 1);
         assert_eq!(r.warn_count(), 0);
         assert!(!r.is_clean());
-        assert_eq!(r.max_severity(), Some(Severity::Deny));
         let mut clean = sample();
         clean.findings.clear();
         assert!(clean.is_clean());

@@ -1,7 +1,7 @@
 //! The differential oracle: run one program under every processor-usage
 //! mode and reconcile each run against the reference trace.
 //!
-//! **Oracle.** [`omp_ir::trace`] walks the IR at a given team size and
+//! **Oracle.** [`omp_ir::trace()`] walks the IR at a given team size and
 //! counts user operations; its totals are deterministic for every valid
 //! program. The engine reports the same [`omp_ir::OpCounts`] in
 //! [`slipstream::exec::RunResult::user_r`], so any field-level

@@ -12,7 +12,7 @@
 //!    reconciles every run against the reference trace oracle — any
 //!    mismatch, hang, panic, gate/class disagreement, A-stream I/O, or
 //!    spurious recovery becomes a fingerprinted [`diff::Failure`];
-//! 3. [`shrink`] minimizes a failing program by deterministic
+//! 3. [`shrink()`] minimizes a failing program by deterministic
 //!    delta-debugging over the IR until no single edit preserves the
 //!    failure;
 //! 4. [`artifact`] serializes the minimized case as a self-contained

@@ -41,7 +41,7 @@ pub enum ScheduleKind {
     Dynamic,
     /// Dynamic with geometrically decreasing chunk sizes.
     Guided,
-    /// Affinity scheduling (the extension the paper cites as [16]):
+    /// Affinity scheduling (the extension the paper cites as \[16\]):
     /// each thread first drains its own static block in chunks, then
     /// steals from the most-loaded thread. Recovers dynamic scheduling's
     /// load balancing without losing cache affinity on reused data.

@@ -8,7 +8,7 @@
 //! within the enclosing block (or section list), so paths are stable
 //! under the builder's block flattening and contain no iteration indices.
 //!
-//! Paths are shared currency between [`validate`](crate::validate)
+//! Paths are shared currency between [`validate`](mod@crate::validate)
 //! diagnostics and the `omp-analyze` crate's findings, so a finding can
 //! point at the exact construct that produced it.
 
@@ -44,11 +44,6 @@ impl NodePath {
     /// Build from a segment stack snapshot.
     pub fn from_segs(segs: &[PathSeg]) -> Self {
         NodePath(segs.to_vec())
-    }
-
-    /// True for the program-level path.
-    pub fn is_root(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -112,8 +107,6 @@ mod tests {
         ]);
         assert_eq!(p.to_string(), "parallel[0]/for[2]/store[1]");
         assert_eq!(NodePath::root().to_string(), "<program>");
-        assert!(NodePath::root().is_root());
-        assert!(!p.is_root());
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
-    fn merge(&mut self, o: &OpCounts) {
+    /// Add `o`'s counts into these.
+    pub fn merge(&mut self, o: &OpCounts) {
         self.loads += o.loads;
         self.stores += o.stores;
         self.atomics += o.atomics;

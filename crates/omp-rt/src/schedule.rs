@@ -27,16 +27,6 @@ pub enum ResolvedSchedule {
 }
 
 impl ResolvedSchedule {
-    /// True when chunk assignment requires shared scheduler state.
-    pub fn needs_scheduler(self) -> bool {
-        matches!(
-            self,
-            ResolvedSchedule::Dynamic(_)
-                | ResolvedSchedule::Guided(_)
-                | ResolvedSchedule::Affinity(_)
-        )
-    }
-
     /// True for the affinity extension (per-thread queues + stealing).
     pub fn is_affinity(self) -> bool {
         matches!(self, ResolvedSchedule::Affinity(_))
@@ -138,7 +128,7 @@ impl DynLoopState {
 }
 
 /// Shared state of one affinity-scheduled loop (the extension the paper
-/// cites as [16]): every thread owns the iteration range of its static
+/// cites as \[16\]): every thread owns the iteration range of its static
 /// block and drains it from the front in chunks; a thread whose range is
 /// empty steals a chunk from the *tail* of the most-loaded thread's
 /// range, preserving the victim's front-of-queue affinity.
@@ -332,14 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn needs_scheduler_flags() {
-        assert!(!ResolvedSchedule::StaticBlock.needs_scheduler());
-        assert!(!ResolvedSchedule::StaticChunked(2).needs_scheduler());
-        assert!(ResolvedSchedule::Dynamic(1).needs_scheduler());
-        assert!(ResolvedSchedule::Guided(1).needs_scheduler());
-    }
-
-    #[test]
     fn dynamic_state_hands_out_disjoint_chunks() {
         let mut st = DynLoopState::new();
         let mut seen = [false; 10];
@@ -428,7 +410,6 @@ mod tests {
             resolve_schedule(Some(ScheduleSpec::affinity(6)), env_static()),
             ResolvedSchedule::Affinity(6)
         );
-        assert!(ResolvedSchedule::Affinity(1).needs_scheduler());
         assert!(ResolvedSchedule::Affinity(1).is_affinity());
         assert!(!ResolvedSchedule::Dynamic(1).is_affinity());
     }

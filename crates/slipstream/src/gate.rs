@@ -29,8 +29,8 @@ pub fn skip_model(policy: &AStreamPolicy) -> SkipModel {
 }
 
 /// Build an [`AnalyzeConfig`] matching a machine + policy + optional
-/// synchronization override (the same precedence [`run_program`]
-/// (crate::runner::run_program) applies).
+/// synchronization override (the same precedence
+/// [`run_program`](crate::runner::run_program) applies).
 pub fn analyze_config(
     machine: &MachineConfig,
     policy: &AStreamPolicy,

@@ -17,6 +17,7 @@
 //!   exhausts its recovery budget is demoted to single-stream mode
 //!   ([`PairMode::DegradedSingle`]) for the rest of the run.
 
+use crate::faults::PairLedger;
 use dsm_sim::{Addr, CpuId, Semaphore};
 use omp_ir::wsloop::Chunk;
 use omp_rt::mode::{PairMode, SlipSync};
@@ -90,8 +91,10 @@ impl Decision {
 /// State of one A–R pair.
 #[derive(Debug)]
 pub struct PairState {
-    /// The shared OpenMP thread id of the pair.
-    pub tid: u64,
+    /// The pair's resilience record: its thread id, operating mode
+    /// (demotion to [`PairMode::DegradedSingle`] is one-way), and fault
+    /// and recovery counts over the whole run.
+    pub ledger: PairLedger,
     /// The R-stream's processor.
     pub r_cpu: CpuId,
     /// The A-stream's processor.
@@ -114,26 +117,12 @@ pub struct PairState {
     pub a_epoch: u64,
     /// The A-stream has diverged and stopped making useful progress.
     pub diverged: bool,
-    /// Number of recoveries performed on this pair, over the whole run;
-    /// the retry budget bounds it.
-    pub recoveries: u64,
-    /// Subset of `recoveries` forced by the barrier watchdog.
-    pub watchdog_recoveries: u64,
-    /// Subset of `recoveries` triggered by the token-wait timeout.
-    pub timeout_recoveries: u64,
     /// Consecutive token-wait timeouts in the current region (drives the
     /// exponential backoff; reset at region start).
     pub wait_timeouts: u32,
     /// A token-wait timeout fired and its recovery has not yet been
     /// attributed (consumed by the next reseed).
     pub timeout_pending: bool,
-    /// Faults the injection framework fired against this pair.
-    pub faults_injected: u64,
-    /// Operating mode; demotion to [`PairMode::DegradedSingle`] is
-    /// one-way.
-    pub mode: PairMode,
-    /// Simulated cycle of the pair's demotion, if any.
-    pub demoted_at: Option<u64>,
     /// Running count of token insertions by the R-stream, across the whole
     /// run (fault-hook sequence key; wraps).
     pub token_seq: u64,
@@ -154,7 +143,15 @@ impl PairState {
         decision_addr: Addr,
     ) -> Self {
         PairState {
-            tid,
+            ledger: PairLedger {
+                tid,
+                mode: PairMode::Slipstream,
+                faults_injected: 0,
+                recoveries: 0,
+                watchdog_recoveries: 0,
+                timeout_recoveries: 0,
+                demoted_at: None,
+            },
             r_cpu,
             a_cpu,
             sync,
@@ -165,14 +162,8 @@ impl PairState {
             r_epoch: 0,
             a_epoch: 0,
             diverged: false,
-            recoveries: 0,
-            watchdog_recoveries: 0,
-            timeout_recoveries: 0,
             wait_timeouts: 0,
             timeout_pending: false,
-            faults_injected: 0,
-            mode: PairMode::Slipstream,
-            demoted_at: None,
             token_seq: 0,
             publish_seq: 0,
         }
@@ -193,7 +184,7 @@ impl PairState {
 
     /// True once the pair has been demoted to single-stream mode.
     pub fn demoted(&self) -> bool {
-        self.mode.is_demoted()
+        self.ledger.demoted()
     }
 
     /// True when both streams are in the same barrier session — the
@@ -251,9 +242,9 @@ impl PairState {
         self.decisions.pop_front()
     }
 
-    /// Serialize the pair's mutable state. Identity fields (tid, cpus,
-    /// addresses) are layout-derived and rebuilt by engine construction,
-    /// so they are not written.
+    /// Serialize the pair's mutable state. Identity fields (the ledger's
+    /// tid, cpus, addresses) are layout-derived and rebuilt by engine
+    /// construction, so they are not written.
     pub fn snapshot(&self, w: &mut snap::Writer) {
         w.bool(self.sync.global);
         w.u64(self.sync.tokens);
@@ -263,14 +254,19 @@ impl PairState {
         w.u64(self.r_epoch);
         w.u64(self.a_epoch);
         w.bool(self.diverged);
-        w.u64(self.recoveries);
-        w.u64(self.watchdog_recoveries);
-        w.u64(self.timeout_recoveries);
         w.u32(self.wait_timeouts);
         w.bool(self.timeout_pending);
-        w.u64(self.faults_injected);
-        w.bool(self.mode.is_demoted());
-        w.opt(&self.demoted_at, |w, &c| w.u64(c));
+        let l = &self.ledger;
+        for v in [
+            l.faults_injected,
+            l.recoveries,
+            l.watchdog_recoveries,
+            l.timeout_recoveries,
+        ] {
+            w.u64(v);
+        }
+        w.bool(l.demoted());
+        w.opt(&l.demoted_at, |w, &c| w.u64(c));
         w.u64(self.token_seq);
         w.u64(self.publish_seq);
     }
@@ -288,18 +284,19 @@ impl PairState {
         self.r_epoch = r.u64()?;
         self.a_epoch = r.u64()?;
         self.diverged = r.bool()?;
-        self.recoveries = r.u64()?;
-        self.watchdog_recoveries = r.u64()?;
-        self.timeout_recoveries = r.u64()?;
         self.wait_timeouts = r.u32()?;
         self.timeout_pending = r.bool()?;
-        self.faults_injected = r.u64()?;
-        self.mode = if r.bool()? {
+        let l = &mut self.ledger;
+        l.faults_injected = r.u64()?;
+        l.recoveries = r.u64()?;
+        l.watchdog_recoveries = r.u64()?;
+        l.timeout_recoveries = r.u64()?;
+        l.mode = if r.bool()? {
             PairMode::DegradedSingle
         } else {
             PairMode::Slipstream
         };
-        self.demoted_at = r.opt(|r| r.u64())?;
+        l.demoted_at = r.opt(|r| r.u64())?;
         self.token_seq = r.u64()?;
         self.publish_seq = r.u64()?;
         Ok(())
@@ -482,11 +479,12 @@ mod tests {
     #[test]
     fn pairs_start_healthy() {
         let p = pair(SlipSync::G0);
-        assert_eq!(p.mode, PairMode::Slipstream);
+        let l = &p.ledger;
+        assert_eq!(l.mode, PairMode::Slipstream);
         assert!(!p.demoted());
-        assert_eq!(p.demoted_at, None);
+        assert_eq!(l.demoted_at, None);
         assert_eq!(
-            (p.recoveries, p.watchdog_recoveries, p.faults_injected),
+            (l.recoveries, l.watchdog_recoveries, l.faults_injected),
             (0, 0, 0)
         );
     }

@@ -14,7 +14,9 @@ use slipstream::runner::{
     checkpoint_compiled, checkpoint_program, resume_compiled, resume_program, run_compiled,
     run_program, RunOptions,
 };
-use slipstream::{stats_fingerprint, Engine, EngineConfig, TraceConfig, TraceEvent};
+use slipstream::{
+    stats_fingerprint, Engine, EngineConfig, RecoveryPolicy, TraceConfig, TraceEvent,
+};
 
 fn machine(cmps: usize) -> MachineConfig {
     let mut m = MachineConfig::paper();
@@ -366,6 +368,27 @@ fn max_tokens_through_the_slipstream_directive() {
             (p, o)
         });
     }
+}
+
+#[test]
+fn max_watchdog_never_fires() {
+    // The region-end watchdog's deadline saturates instead of wrapping:
+    // a `u64::MAX` watchdog never fires, so the run is the default
+    // policy's run.
+    let p = Benchmark::Cg.build_tiny();
+    let run = |recovery| {
+        let o = RunOptions::new(ExecMode::Slipstream)
+            .with_machine(machine(4))
+            .with_sync(SlipSync::G0)
+            .with_recovery(recovery);
+        run_program(&p, &o).unwrap()
+    };
+    let max = run(RecoveryPolicy::paper().with_watchdog(u64::MAX));
+    assert_eq!(max.raw.recoveries, 0);
+    assert_eq!(
+        stats_fingerprint(&max),
+        stats_fingerprint(&run(RecoveryPolicy::paper()))
+    );
 }
 
 #[test]

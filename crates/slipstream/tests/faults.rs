@@ -518,6 +518,80 @@ fn timeout_recoveries_are_labelled_in_the_trace() {
     assert!(timeout_recoveries >= 1);
 }
 
+/// Every seeded handshake fault shows in the trace where it struck: the
+/// lost token insertion and the lost decision signal are flagged `lost`
+/// at their pair and sequence number, the corrupted decision is
+/// published under its corrupted kind, and each firing is one `Fault`
+/// event counted in its pair's ledger.
+#[test]
+fn handshake_faults_are_labelled_in_the_trace() {
+    let p = Benchmark::Cg.build_tiny_sched(ScheduleSpec::dynamic(4));
+    let (token_loss, signal_loss, corrupt) = ((1, 2), (2, 3), (3, 1));
+    let plan = [
+        (FaultKind::TokenLoss, token_loss),
+        (FaultKind::SignalLoss, signal_loss),
+        (FaultKind::DecisionCorrupt, corrupt),
+    ]
+    .into_iter()
+    .fold(FaultPlan::none(), |plan, (kind, (tid, seq))| {
+        plan.with(FaultEvent {
+            kind,
+            tid,
+            seq,
+            arg: 0,
+        })
+    });
+    let opts = RunOptions::new(ExecMode::Slipstream)
+        .with_machine(machine())
+        .with_sync(SlipSync::G0)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::hardened())
+        .with_trace(TraceConfig::on());
+    let r = run_program(&p, &opts).expect("faulted run");
+    assert_oracle(&r, &trace(&p, TEAM), "(handshake faults)");
+    let data = r.raw.trace.as_ref().expect("traced run");
+    let (mut lost_tokens, mut lost_signals, mut corrupted) = (vec![], vec![], vec![]);
+    let mut faults = vec![0u64; TEAM as usize];
+    for e in &data.events {
+        match e.ev {
+            TraceEvent::TokenInsert {
+                pair,
+                seq,
+                lost: true,
+                ..
+            } => lost_tokens.push((u64::from(pair), seq)),
+            TraceEvent::DecisionPublish {
+                pair,
+                seq,
+                kind,
+                lost,
+            } => {
+                if lost {
+                    lost_signals.push((u64::from(pair), seq));
+                }
+                if (u64::from(pair), seq) == corrupt {
+                    corrupted.push(kind);
+                }
+            }
+            TraceEvent::Fault { pair, .. } => faults[pair as usize] += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(lost_tokens, [token_loss]);
+    assert_eq!(lost_signals, [signal_loss]);
+    // Pair 3 is no master, so it never publishes region-go: any decision
+    // it publishes corrupts to one.
+    assert_eq!(corrupted, ["region-go"]);
+    let ledger: Vec<u64> = r
+        .raw
+        .pair_ledgers
+        .iter()
+        .map(|l| l.faults_injected)
+        .collect();
+    assert_eq!(faults, ledger);
+    assert_eq!(ledger.iter().sum::<u64>(), 3, "every seeded fault fired");
+}
+
 /// The retry budget is exact. Calibrate how many recoveries a blanket
 /// storm forces under an effectively unbounded budget, then pin the
 /// boundary: a budget of exactly that many survives; one less turns the
