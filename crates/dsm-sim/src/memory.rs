@@ -32,14 +32,15 @@ impl MemoryControllers {
     }
 
     /// Perform a DRAM access at `node` starting at `t`; returns completion.
-    pub fn dram_access(&mut self, node: CmpId, t: Cycle) -> Cycle {
-        self.mem[node.0].acquire(t, self.mem_cycles)
+    /// `floor` is the controller's [`Resource::acquire`] floor.
+    pub fn dram_access(&mut self, node: CmpId, t: Cycle, floor: Cycle) -> Cycle {
+        self.mem[node.0].acquire(t, self.mem_cycles, floor)
     }
 
     /// Transfer one line over `node`'s bus starting at `t`; returns
-    /// completion.
-    pub fn bus_transfer(&mut self, node: CmpId, t: Cycle) -> Cycle {
-        self.bus[node.0].acquire(t, self.bus_cycles)
+    /// completion. `floor` is the bus's [`Resource::acquire`] floor.
+    pub fn bus_transfer(&mut self, node: CmpId, t: Cycle, floor: Cycle) -> Cycle {
+        self.bus[node.0].acquire(t, self.bus_cycles, floor)
     }
 
     /// Total cycles requests spent queueing at memory controllers.
@@ -75,15 +76,15 @@ mod tests {
     fn latencies_follow_table1() {
         let mut m = MemoryControllers::new(&MachineConfig::paper());
         // MemTime 50ns -> 60cy, BusTime 30ns -> 36cy at 1.2 GHz.
-        assert_eq!(m.dram_access(CmpId(0), 100), 160);
-        assert_eq!(m.bus_transfer(CmpId(0), 100), 136);
+        assert_eq!(m.dram_access(CmpId(0), 100, 0), 160);
+        assert_eq!(m.bus_transfer(CmpId(0), 100, 0), 136);
     }
 
     #[test]
     fn controller_contention_queues_requests() {
         let mut m = MemoryControllers::new(&MachineConfig::paper());
-        let a = m.dram_access(CmpId(2), 0);
-        let b = m.dram_access(CmpId(2), 10);
+        let a = m.dram_access(CmpId(2), 0, 0);
+        let b = m.dram_access(CmpId(2), 10, 0);
         assert_eq!(a, 60);
         assert_eq!(b, 120, "second DRAM access waits for the controller");
         assert_eq!(m.memory_contention(), 50);
@@ -92,8 +93,8 @@ mod tests {
     #[test]
     fn nodes_are_independent() {
         let mut m = MemoryControllers::new(&MachineConfig::paper());
-        let a = m.dram_access(CmpId(0), 0);
-        let b = m.dram_access(CmpId(1), 0);
+        let a = m.dram_access(CmpId(0), 0, 0);
+        let b = m.dram_access(CmpId(1), 0, 0);
         assert_eq!(a, b);
         assert_eq!(m.memory_contention(), 0);
     }

@@ -37,30 +37,31 @@ impl Network {
 
     /// Send one message from `from` to `to`, with the first byte ready at
     /// `t`. Returns the cycle at which the message has fully arrived at the
-    /// destination (including any port queueing on both ends).
+    /// destination (including any port queueing on both ends). `floor` is
+    /// the ports' [`Resource::acquire`] floor.
     ///
     /// A message between co-located endpoints (`from == to`) does not touch
     /// the network and arrives immediately.
-    pub fn traverse(&mut self, from: CmpId, to: CmpId, t: Cycle) -> Cycle {
+    pub fn traverse(&mut self, from: CmpId, to: CmpId, t: Cycle, floor: Cycle) -> Cycle {
         if from == to {
             return t;
         }
-        let departed = self.ni_out[from.0].acquire(t, self.port_occupancy);
+        let departed = self.ni_out[from.0].acquire(t, self.port_occupancy, floor);
         let arrived_wire = departed + self.net_delay;
-        self.ni_in[to.0].acquire(arrived_wire, self.port_occupancy)
+        self.ni_in[to.0].acquire(arrived_wire, self.port_occupancy, floor)
     }
 
     /// Occupy `node`'s network-output port (which doubles as the node's
     /// directory-controller service point) for `occ` cycles starting no
     /// earlier than `t`. Returns service completion.
-    pub fn out_port(&mut self, node: CmpId, t: Cycle, occ: Cycle) -> Cycle {
-        self.ni_out[node.0].acquire(t, occ)
+    pub fn out_port(&mut self, node: CmpId, t: Cycle, occ: Cycle, floor: Cycle) -> Cycle {
+        self.ni_out[node.0].acquire(t, occ, floor)
     }
 
     /// Occupy `node`'s network-input port for `occ` cycles starting no
     /// earlier than `t`. Returns service completion.
-    pub fn in_port(&mut self, node: CmpId, t: Cycle, occ: Cycle) -> Cycle {
-        self.ni_in[node.0].acquire(t, occ)
+    pub fn in_port(&mut self, node: CmpId, t: Cycle, occ: Cycle, floor: Cycle) -> Cycle {
+        self.ni_in[node.0].acquire(t, occ, floor)
     }
 
     /// Total cycles messages spent queueing for ports (diagnostic).
@@ -105,22 +106,22 @@ mod tests {
         let mut n = net();
         // port(12) + wire(60) + port(12) at 1.2GHz: NetTime 50ns -> 60cy,
         // NIRemoteDCTime 10ns -> 12cy.
-        let arrive = n.traverse(CmpId(0), CmpId(1), 1000);
+        let arrive = n.traverse(CmpId(0), CmpId(1), 1000, 0);
         assert_eq!(arrive, 1000 + 12 + 60 + 12);
     }
 
     #[test]
     fn local_messages_bypass_network() {
         let mut n = net();
-        assert_eq!(n.traverse(CmpId(3), CmpId(3), 500), 500);
+        assert_eq!(n.traverse(CmpId(3), CmpId(3), 500, 0), 500);
         assert_eq!(n.total_messages(), 0);
     }
 
     #[test]
     fn output_port_serializes_senders() {
         let mut n = net();
-        let a = n.traverse(CmpId(0), CmpId(1), 0);
-        let b = n.traverse(CmpId(0), CmpId(2), 0);
+        let a = n.traverse(CmpId(0), CmpId(1), 0, 0);
+        let b = n.traverse(CmpId(0), CmpId(2), 0, 0);
         // Second message waits for the shared output port.
         assert!(b > a - 60, "second departure delayed by port occupancy");
         assert_eq!(b - a, 12, "exactly one port occupancy apart");
@@ -130,8 +131,8 @@ mod tests {
     #[test]
     fn input_port_serializes_receivers() {
         let mut n = net();
-        let a = n.traverse(CmpId(0), CmpId(5), 0);
-        let b = n.traverse(CmpId(1), CmpId(5), 0);
+        let a = n.traverse(CmpId(0), CmpId(5), 0, 0);
+        let b = n.traverse(CmpId(1), CmpId(5), 0, 0);
         assert_eq!(a, 84);
         assert_eq!(b, 96, "second arrival queues at the input port");
     }
@@ -139,8 +140,8 @@ mod tests {
     #[test]
     fn distinct_ports_do_not_interfere() {
         let mut n = net();
-        let a = n.traverse(CmpId(0), CmpId(1), 0);
-        let b = n.traverse(CmpId(2), CmpId(3), 0);
+        let a = n.traverse(CmpId(0), CmpId(1), 0, 0);
+        let b = n.traverse(CmpId(2), CmpId(3), 0, 0);
         assert_eq!(a, b);
         assert_eq!(n.total_contention(), 0);
     }

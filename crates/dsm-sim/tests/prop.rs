@@ -155,7 +155,7 @@ fn resource_windows_never_overlap() {
         for _ in 0..n {
             let now = g.below(10_000);
             let occ = 1 + g.below(199);
-            let done = r.acquire(now, occ);
+            let done = r.acquire(now, occ, 0);
             let start = done - occ;
             assert!(start >= now, "service cannot start before the request");
             for &(s, e) in &windows {

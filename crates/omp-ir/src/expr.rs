@@ -37,6 +37,26 @@ pub enum BinOp {
     Max,
 }
 
+impl BinOp {
+    /// `x op y` with the operators' total semantics: wrapping add, sub,
+    /// mul, div and rem; division and remainder by zero yield 0. The one
+    /// definition [`Expr::eval`] and every compile-time fold use.
+    #[inline]
+    pub fn apply(self, x: i64, y: i64) -> i64 {
+        match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div if y == 0 => 0,
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Mod if y == 0 => 0,
+            BinOp::Mod => x.wrapping_rem(y),
+            BinOp::Min => x.min(y),
+            BinOp::Max => x.max(y),
+        }
+    }
+}
+
 /// An integer expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
@@ -162,31 +182,7 @@ impl Expr {
             Expr::Var(v) => ctx.var(*v),
             Expr::ThreadId => ctx.thread_id(),
             Expr::NumThreads => ctx.num_threads(),
-            Expr::Bin(op, a, b) => {
-                let x = a.eval(ctx);
-                let y = b.eval(ctx);
-                match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    }
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                }
-            }
+            Expr::Bin(op, a, b) => op.apply(a.eval(ctx), b.eval(ctx)),
             Expr::Table(t, e) => ctx.table(*t, e.eval(ctx)),
         }
     }
@@ -297,5 +293,8 @@ mod tests {
         let ctx = SimpleCtx::new(0, 0, 1);
         let e = Expr::c(i64::MAX) + Expr::c(1);
         assert_eq!(e.eval(&ctx), i64::MIN);
+        // The one quotient that overflows wraps, and its remainder is 0.
+        assert_eq!((Expr::c(i64::MIN) / Expr::c(-1)).eval(&ctx), i64::MIN);
+        assert_eq!(Expr::c(i64::MIN).rem(Expr::c(-1)).eval(&ctx), 0);
     }
 }

@@ -33,7 +33,7 @@ impl Engine<'_> {
                 self.mem(ci, addr, AccessKind::Load, TimeClass::MemStall);
             }
             Op::LoadDyn { array, index } => {
-                let idx = self.eval(ci, &cp.exprs[index as usize]);
+                let idx = self.eval_dyn(ci, index);
                 let addr = self.element_addr(ci, array, idx);
                 self.cpus[ci].user.loads += 1;
                 self.mem(ci, addr, AccessKind::Load, TimeClass::MemStall);
@@ -52,7 +52,7 @@ impl Engine<'_> {
                 self.mem(ci, addr, AccessKind::Store, TimeClass::MemStall);
             }
             Op::StoreDyn { array, index } => {
-                let idx = self.eval(ci, &cp.exprs[index as usize]);
+                let idx = self.eval_dyn(ci, index);
                 let addr = self.element_addr(ci, array, idx);
                 self.cpus[ci].user.stores += 1;
                 let shared = cp.arrays[array.0 as usize].shared;
@@ -74,7 +74,7 @@ impl Engine<'_> {
     fn compute(&mut self, ci: usize, op: Op, overhead: u64) -> bool {
         let cyc = match op {
             Op::ComputeConst(cyc) => cyc,
-            Op::ComputeDyn(x) => self.eval(ci, &self.cp.exprs[x as usize]).max(0) as u64,
+            Op::ComputeDyn(x) => self.eval_dyn(ci, x).max(0) as u64,
             _ => return false,
         };
         self.cpus[ci].user.compute_cycles += cyc;
