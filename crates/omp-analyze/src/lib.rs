@@ -619,6 +619,23 @@ mod tests {
     }
 
     #[test]
+    fn budget_bounds_a_static_chunked_loop_of_any_length() {
+        // 2^62 one-iteration chunks: the walk spends its budget on the
+        // first of them instead of listing every chunk first.
+        let mut b = omp_ir::ProgramBuilder::new("huge");
+        let a = b.shared_array("a", 64, 8);
+        let i = b.var();
+        let chunked = ScheduleSpec {
+            kind: omp_ir::ScheduleKind::Static,
+            chunk: Some(1),
+        };
+        b.parallel(|r| r.par_for(Some(chunked), i, 0, 1i64 << 62, |l| l.load(a, Expr::v(i))));
+        let r = analyze(&b.build(), &AnalyzeConfig::paper().with_budget(1000));
+        assert!(r.truncated);
+        assert_eq!(r.findings.len(), 0, "{}", r.render_text());
+    }
+
+    #[test]
     fn dynamic_schedule_chunks_are_distinct_work_items() {
         // dynamic(1): each iteration its own work item; element 0 written
         // by every iteration -> race.

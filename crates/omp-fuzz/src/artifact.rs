@@ -208,6 +208,67 @@ mod tests {
     }
 
     #[test]
+    fn nesting_at_the_json_limit_replays_and_past_it_is_refused() {
+        use omp_ir::json::MAX_DEPTH;
+        use omp_ir::node::Node;
+        // `loops` nested one-trip loops around a load: the nesting that
+        // costs the analyzer the most stack per level.
+        let repro = |loops: usize| {
+            let mut b = ProgramBuilder::new("deep");
+            let a = b.shared_array("a", 64, 8);
+            let mut body = Node::Load {
+                array: a,
+                index: Expr::c(1),
+            };
+            for _ in 0..loops {
+                body = Node::For {
+                    var: b.var(),
+                    begin: Expr::c(0),
+                    end: Expr::c(1),
+                    step: 1,
+                    body: Box::new(body),
+                };
+            }
+            b.parallel(|r| r.push(body));
+            Repro::new(None, failure(), &DiffOptions::campaign(), b.build())
+        };
+        // No string in these documents holds a bracket.
+        let depth = |text: &str| {
+            let (mut open, mut deepest) = (0, 0);
+            for b in text.bytes() {
+                match b {
+                    b'[' | b'{' => {
+                        open += 1;
+                        deepest = deepest.max(open);
+                    }
+                    b']' | b'}' => open -= 1,
+                    _ => {}
+                }
+            }
+            deepest
+        };
+        let envelope = depth(&repro(0).to_json());
+        for below in [1, 0] {
+            let r = repro(MAX_DEPTH - envelope - below);
+            assert_eq!(depth(&r.to_json()), MAX_DEPTH - below);
+            assert_eq!(Repro::from_json(&r.to_json()).as_ref(), Ok(&r));
+        }
+        // One level past the limit, the artifact is refused, and its
+        // program, as a document of its own exactly at the limit, still
+        // decodes, validates, compiles and analyzes on this thread.
+        let over = repro(MAX_DEPTH - envelope + 1);
+        let err = Repro::from_json(&over.to_json()).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let text = program_to_json(&over.program);
+        assert_eq!(depth(&text), MAX_DEPTH);
+        let p = omp_ir::program_from_json(&text).unwrap();
+        let map = dsm_sim::AddressMap::new(&dsm_sim::MachineConfig::paper());
+        slipstream::compile(&p, &map).unwrap();
+        let report = omp_analyze::analyze(&p, &omp_analyze::AnalyzeConfig::paper());
+        assert!(report.is_clean(), "{}", report.render_text());
+    }
+
+    #[test]
     fn replay_of_mutated_case_reproduces_from_artifact_alone() {
         let base = DiffOptions::campaign();
         let mut mutated = base.clone();

@@ -6,7 +6,8 @@
 //! ([`crate::serialize`]), the analyzer's reports, the fuzzer's repro
 //! artifacts, `bench`'s records and the Chrome-trace exporter all use
 //! them. Numbers are integers only: no document this workspace writes
-//! holds a float.
+//! holds a float. Nesting is bounded ([`MAX_DEPTH`]), so no document
+//! from outside can overflow the parser's stack.
 
 /// A parsed JSON value. Numbers are restricted to `i64` — the encoding
 /// never emits floats, and keeping integers exact is what round-tripping
@@ -105,10 +106,18 @@ fn err<T>(message: impl Into<String>, offset: usize) -> Result<T, SerializeError
     })
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts. A
+/// paper kernel's program document nests at most 25 deep, and one
+/// nested this deep still decodes, validates, compiles and analyzes on a
+/// 2 MiB debug-build thread.
+pub const MAX_DEPTH: usize = 100;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -138,8 +147,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, SerializeError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                err(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos)
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -303,6 +323,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, SerializeError> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -353,6 +374,23 @@ mod tests {
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{\"a\"}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH] {
+            assert!(parse_json(&nested(depth)).is_ok(), "{depth} levels");
+        }
+        // The first bracket past the limit is refused where it stands,
+        // inside objects as in arrays, and far deeper input fails the
+        // same way instead of overflowing the stack.
+        let e = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "{}" + &"}".repeat(MAX_DEPTH);
+        assert_eq!(parse_json(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        assert_eq!(parse_json(&nested(100_000)).unwrap_err(), e);
     }
 
     #[test]

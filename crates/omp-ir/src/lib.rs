@@ -19,7 +19,6 @@ pub mod builder;
 pub mod directive;
 pub mod expr;
 pub mod json;
-pub mod lower;
 pub mod node;
 pub mod path;
 pub mod serialize;
@@ -33,7 +32,6 @@ pub use directive::{
 };
 pub use expr::{BinOp, Expr, SimpleCtx, TableId, VarId};
 pub use json::{escape_json, parse_json, JsonValue, SerializeError};
-pub use lower::{Pragma, PragmaBlock};
 pub use node::{
     ArrayDecl, ArrayId, Node, Program, Reduction, ReductionOp, ScheduleKind, ScheduleSpec,
     SlipSyncType, SlipstreamClause,

@@ -31,15 +31,7 @@ fn emit_expr(e: &Expr, out: &mut String) {
         Expr::ThreadId => out.push_str("{\"k\":\"tid\"}"),
         Expr::NumThreads => out.push_str("{\"k\":\"nth\"}"),
         Expr::Bin(op, l, r) => {
-            let name = match op {
-                BinOp::Add => "add",
-                BinOp::Sub => "sub",
-                BinOp::Mul => "mul",
-                BinOp::Div => "div",
-                BinOp::Mod => "mod",
-                BinOp::Min => "min",
-                BinOp::Max => "max",
-            };
+            let name = op.name();
             out.push_str(&format!("{{\"k\":\"bin\",\"op\":\"{name}\",\"l\":"));
             emit_expr(l, out);
             out.push_str(",\"r\":");
@@ -310,15 +302,9 @@ fn decode_expr(v: &JsonValue) -> Result<Expr, SerializeError> {
         "tid" => Ok(Expr::ThreadId),
         "nth" => Ok(Expr::NumThreads),
         "bin" => {
-            let op = match field(v, "op", "bin")?.as_str() {
-                Some("add") => BinOp::Add,
-                Some("sub") => BinOp::Sub,
-                Some("mul") => BinOp::Mul,
-                Some("div") => BinOp::Div,
-                Some("mod") => BinOp::Mod,
-                Some("min") => BinOp::Min,
-                Some("max") => BinOp::Max,
-                other => return derr(format!("bin: unknown op {other:?}")),
+            let name = field(v, "op", "bin")?.as_str();
+            let Some(op) = BinOp::ALL.into_iter().find(|op| Some(op.name()) == name) else {
+                return derr(format!("bin: unknown op {name:?}"));
             };
             let l = decode_expr(field(v, "l", "bin")?)?;
             let r = decode_expr(field(v, "r", "bin")?)?;

@@ -56,7 +56,8 @@ pub fn static_block(begin: i64, end: i64, step: u64, nthreads: u64, tid: u64) ->
 }
 
 /// Static schedule with a chunk clause: chunks of `chunk` iterations dealt
-/// round-robin. Returns all chunks owned by `tid`, in iteration order.
+/// round-robin. Yields the chunks owned by `tid`, in iteration order,
+/// lazily: a thread may own more chunks than fit in memory.
 pub fn static_chunked(
     begin: i64,
     end: i64,
@@ -64,21 +65,16 @@ pub fn static_chunked(
     nthreads: u64,
     tid: u64,
     chunk: u64,
-) -> Vec<Chunk> {
+) -> impl Iterator<Item = Chunk> {
     debug_assert!(tid < nthreads && chunk > 0);
     let n = trip_count(begin, end, step);
-    let mut out = Vec::new();
-    let mut c = tid * chunk;
-    while c < n {
-        let lo_it = c;
-        let hi_it = (c + chunk).min(n);
-        out.push(Chunk {
-            lo: begin + lo_it as i64 * step as i64,
-            hi: begin + hi_it as i64 * step as i64,
-        });
-        c += nthreads * chunk;
-    }
-    out
+    let at = move |it: u64| begin + it as i64 * step as i64;
+    (tid * chunk..n)
+        .step_by((nthreads * chunk) as usize)
+        .map(move |c| Chunk {
+            lo: at(c),
+            hi: at((c + chunk).min(n)),
+        })
 }
 
 /// The next chunk a dynamic scheduler hands out, given `remaining_start`
@@ -176,7 +172,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s == 1));
         // Thread 0 owns chunks starting at iterations 0 and 12.
-        let t0 = static_chunked(0, n, 1, t, 0, 4);
+        let t0: Vec<Chunk> = static_chunked(0, n, 1, t, 0, 4).collect();
         assert_eq!(t0, vec![Chunk { lo: 0, hi: 4 }, Chunk { lo: 12, hi: 16 }]);
     }
 

@@ -259,7 +259,7 @@ pub fn static_chunks(
             vec![wsloop::static_block(begin, end, step, nthreads, tid)]
         }
         ResolvedSchedule::StaticChunked(c) => {
-            wsloop::static_chunked(begin, end, step, nthreads, tid, c)
+            wsloop::static_chunked(begin, end, step, nthreads, tid, c).collect()
         }
         _ => panic!("static_chunks on a dynamic schedule"),
     }

@@ -47,7 +47,7 @@ use dsm_sim::{
     AccessKind, Addr, AddressMap, Barrier, CmpId, CpuId, CpuTimeline, Cycle, EventQueue, Lock,
     MachineConfig, MemSystem, SplitMix64, StreamRole, TimeClass,
 };
-use omp_ir::expr::{EvalCtx, Expr, TableId, VarId};
+use omp_ir::expr::{EvalCtx, Expr, VarId};
 use omp_ir::node::{ArrayId, SlipstreamClause};
 use omp_ir::trace::OpCounts;
 use omp_ir::wsloop::Chunk;
@@ -401,12 +401,8 @@ impl EvalCtx for ExprView<'_> {
     fn num_threads(&self) -> i64 {
         self.nthreads
     }
-    fn table(&self, t: TableId, idx: i64) -> i64 {
-        let tab = &self.tables[t.0 as usize];
-        if tab.is_empty() {
-            return 0;
-        }
-        tab[idx.clamp(0, tab.len() as i64 - 1) as usize]
+    fn tables(&self) -> &[Vec<i64>] {
+        self.tables
     }
 }
 
